@@ -14,28 +14,15 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from prmplan import (  # noqa: E402
-    FULL_MODEL,
-    M02,
-    MOST_LIKELY,
-    SimConfig,
-    UniformSelector,
-    estimate_risk_profile,
-    make_01rm_selector,
-    run_experiment,
-)
+from prmplan import SimConfig, run_experiment  # noqa: E402
+from prmplan.cli import _make_selector  # noqa: E402
 from prmplan.domains import desk_instances, large_instances  # noqa: E402
 
 
 def evaluate(name, problem, predicate, model_names, trials, seed, jobs):
-    profile = estimate_risk_profile(problem, predicate, seed=seed)
-    selectors = {
-        "full": lambda: UniformSelector(FULL_MODEL),
-        "mlod": lambda: UniformSelector(MOST_LIKELY),
-        "m02": lambda: UniformSelector(M02),
-        "rm01": lambda: make_01rm_selector(profile, 0.25),
-    }
-    models = [(n, selectors[n]()) for n in model_names]
+    # The CLI's default risk-estimation settings and rm01 threshold.
+    args = argparse.Namespace(samples=30, depth=4, seed=seed, threshold=0.25)
+    models = [(n, _make_selector(n, problem, predicate, args)) for n in model_names]
     report = run_experiment(
         problem,
         models,

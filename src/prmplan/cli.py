@@ -137,10 +137,7 @@ def cmd_solve(args) -> int:
     problem, predicate = build_instance(args.domain, args.instance, seed=args.seed)
     selector = _make_selector(args.model, problem, predicate, args)
     reduced = build_reduced_model(problem, selector, name=args.model)
-    heuristic = compute_hmin(
-        problem, problem.start, SolverConfig(epsilon=args.epsilon)
-    )
-    config = SolverConfig(epsilon=args.epsilon, heuristic=heuristic)
+    config = SolverConfig(epsilon=args.epsilon, heuristic=compute_hmin(problem))
     solution = _solve_reduced(reduced, problem.start, config)
     print(f"instance   {problem.name} ({problem.n_states} states)")
     print(f"model      {args.model}")
@@ -227,6 +224,9 @@ def cmd_experiment(args) -> int:
             if result.failed:
                 print(f"model {result.name} failed: {result.failure}", file=sys.stderr)
                 continue
+            for i, t in enumerate(result.trials):
+                if t.failure:
+                    print(f"model {result.name} trial {i} failed: {t.failure}", file=sys.stderr)
             rows.append(
                 {
                     "model": result.name,

@@ -183,9 +183,6 @@ class ReducedModel(SspProblem):
     def deterministic(self) -> bool:
         return self.selector.deterministic
 
-    def selector_summary(self) -> str:
-        return self.selector.summary(self.base)
-
 
 def build_reduced_model(
     base: SspProblem, selector: ModelSelector, name: str = ""

@@ -8,6 +8,7 @@ replanning in a risky state counts as a negative side effect.
 
 from __future__ import annotations
 
+import math
 import time
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor
@@ -57,6 +58,7 @@ class TrialStats:
     plan_time: float = 0.0
     replan_time: float = 0.0
     seed: int = 0
+    failure: str = ""
 
 
 @dataclass
@@ -67,7 +69,6 @@ class ModelResult:
     trials: list[TrialStats] = field(default_factory=list)
     failed: bool = False
     failure: str = ""
-    selector_summary: str = ""
 
     @property
     def mean_nse(self) -> float:
@@ -92,9 +93,15 @@ class ModelResult:
         return sum(1 for t in self.trials if t.reached_goal)
 
     def pct_cost_increase(self, optimal: float) -> float:
+        """nan when V*(s0) = 0 (the start is a goal)."""
+        if optimal == 0:
+            return math.nan
         return 100.0 * (self.mean_cost - optimal) / optimal
 
     def pct_time_savings(self, t_full: float) -> float:
+        """nan when the full-model solve time is 0."""
+        if t_full == 0:
+            return math.nan
         return 100.0 * (t_full - self.mean_time) / t_full
 
 
@@ -207,7 +214,7 @@ def optimal_start_value(base: SspProblem, config: SimConfig | None = None) -> fl
     try:
         return solve_value_iteration(base, config.solver_config()).start_value
     except EnumerationCapError:
-        hmin = compute_hmin(base, base.start, config.solver_config())
+        hmin = compute_hmin(base)
         return solve_lao_star(base, config=config.solver_config(hmin)).start_value
 
 
@@ -225,13 +232,15 @@ def run_experiment(
     Per model: build the reduced model, solve it once from s0 (the shared
     initial plan), run `trials` independently-seeded execution trials, and
     aggregate. The full-model baseline solve time and V*(s0) anchor the
-    %-time-savings and %-cost-increase columns.
+    %-time-savings and %-cost-increase columns. A model whose reduction or
+    initial solve raises is marked failed; a trial that raises is recorded
+    with its `failure` set and reached_goal false.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     config = config or SimConfig()
     if heuristic is None:
-        heuristic = compute_hmin(base, base.start, config.solver_config())
+        heuristic = compute_hmin(base)
     solver_cfg = config.solver_config(heuristic)
 
     optimal = optimal_start_value(base, config)
@@ -256,16 +265,19 @@ def run_experiment(
         def one_trial(trial: int, _reduced=reduced, _initial=initial) -> TrialStats:
             # Common random numbers: trial i draws the same outcome stream
             # under every model, pairing the per-model comparisons.
-            trial_seed = np.random.SeedSequence([seed, trial]).generate_state(1)[0]
-            return run_trial(
-                base,
-                _reduced,
-                predicate,
-                config,
-                seed=int(trial_seed),
-                initial=_initial,
-                heuristic=heuristic,
-            )
+            trial_seed = int(np.random.SeedSequence([seed, trial]).generate_state(1)[0])
+            try:
+                return run_trial(
+                    base,
+                    _reduced,
+                    predicate,
+                    config,
+                    seed=trial_seed,
+                    initial=_initial,
+                    heuristic=heuristic,
+                )
+            except Exception as exc:  # noqa: BLE001 - one failed trial must not stop others
+                return TrialStats(seed=trial_seed, failure=f"{type(exc).__name__}: {exc}")
 
         if config.jobs > 1:
             with ThreadPoolExecutor(max_workers=config.jobs) as pool:

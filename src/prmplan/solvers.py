@@ -1,4 +1,8 @@
-"""Solvers: value iteration oracle, lazy h_min heuristic, LAO*, and A*."""
+"""Solvers: value iteration oracle, exact h_min heuristic, LAO*, and A*.
+
+Value iteration and h_min both work on the problem compiled to per-action
+sparse transition matrices; LAO* and A* query the problem directly.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +10,7 @@ import heapq
 import math
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -55,26 +59,15 @@ class Solution:
         return self.values[self.start]
 
 
-def solve_value_iteration(
-    problem: SspProblem,
-    config: SolverConfig | None = None,
-    start: int | None = None,
-) -> Solution:
-    """Full-sweep value iteration over all states reachable from start.
-
-    The desk-scale oracle: vectorized sweeps over sparse per-action
-    transition matrices until the sup-norm residual drops below epsilon.
-    Refuses instances above the enumeration cap.
+def _transition_matrices(
+    problem: SspProblem, states: list[int]
+) -> tuple[np.ndarray, list[sparse.csr_matrix], np.ndarray]:
+    """Compile `states` (closed under successors) into arrays indexed by
+    position: the (n, |A|) cost array, inf where an action does not apply
+    and on goal rows; one sparse n x n transition matrix per action; and
+    the goal rows. Raises DeadEndError for a non-goal state without actions.
     """
-    config = config or SolverConfig()
-    root = problem.start if start is None else start
-    t0 = time.perf_counter()
-    states = reachable_states(problem, root)
     n = len(states)
-    if n > config.enumeration_cap:
-        raise EnumerationCapError(
-            f"{n} reachable states exceed enumeration cap {config.enumeration_cap}"
-        )
     index = {s: i for i, s in enumerate(states)}
     n_a = problem.n_actions
     cost = np.full((n, n_a), np.inf)
@@ -95,11 +88,35 @@ def solve_value_iteration(
                 rows[a].append(i)
                 cols[a].append(index[s2])
                 data[a].append(p)
-    goal_rows = np.array(goal_rows, dtype=int)
     mats = [
         sparse.csr_matrix((data[a], (rows[a], cols[a])), shape=(n, n))
         for a in range(n_a)
     ]
+    return cost, mats, np.array(goal_rows, dtype=int)
+
+
+def solve_value_iteration(
+    problem: SspProblem,
+    config: SolverConfig | None = None,
+    start: int | None = None,
+) -> Solution:
+    """Full-sweep value iteration over all states reachable from start.
+
+    The desk-scale oracle: vectorized sweeps over sparse per-action
+    transition matrices until the sup-norm residual drops below epsilon.
+    Refuses instances above the enumeration cap.
+    """
+    config = config or SolverConfig()
+    root = problem.start if start is None else start
+    t0 = time.perf_counter()
+    states = reachable_states(problem, root)
+    n = len(states)
+    if n > config.enumeration_cap:
+        raise EnumerationCapError(
+            f"{n} reachable states exceed enumeration cap {config.enumeration_cap}"
+        )
+    cost, mats, goal_rows = _transition_matrices(problem, states)
+    n_a = problem.n_actions
 
     v = np.zeros(n)
     q = cost.copy()
@@ -130,96 +147,49 @@ def solve_value_iteration(
     return solution
 
 
-class HminHeuristic:
-    """Admissible h_min lower bound, learned lazily by labeled real-time trials.
-
-    Values live in the all-outcomes-min relaxation
-    ``h(s) = min_a [C(s,a) + min_{s' in support(s,a)} h(s')]``; a queried
-    state is driven by greedy trials (with backups along the way) until it
-    is labeled solved, i.e. its residual is below epsilon and its greedy
-    successor is labeled. Initial values of 0 keep every intermediate
-    estimate a lower bound on the relaxed (hence the true) value.
-    """
-
-    def __init__(self, problem: SspProblem, config: SolverConfig | None = None):
-        config = config or SolverConfig()
-        self.problem = problem
-        self.epsilon = config.epsilon
-        self.max_trials = config.max_iterations
-        self.step_cap = 4 * problem.n_states + 100
-        self._h: dict[int, float] = {}
-        self._labeled: set[int] = set()
-
-    def __call__(self, s: int) -> float:
-        return self.value(s)
-
-    def value(self, s: int) -> float:
-        if self.problem.is_goal(s):
-            return 0.0
-        trials = 0
-        while s not in self._labeled:
-            self._trial(s)
-            trials += 1
-            if trials > self.max_trials:
-                raise NonconvergenceError(
-                    f"h_min trials from state {s} exceeded {self.max_trials}",
-                    Solution({}, ValueTable(values=self._h), len(self._h), 0.0, s, False),
-                )
-        return self._h.get(s, 0.0)
-
-    def _backup(self, s: int) -> tuple[float, int]:
-        problem = self.problem
-        best_q = math.inf
-        best_succ = s
-        for a in problem.actions(s):
-            succ_min = math.inf
-            succ_best = s
-            for s2, _ in problem.transition(s, a):
-                h2 = 0.0 if problem.is_goal(s2) else self._h.get(s2, 0.0)
-                if h2 < succ_min:
-                    succ_min = h2
-                    succ_best = s2
-            q = problem.cost(s, a) + succ_min
-            if q < best_q:
-                best_q = q
-                best_succ = succ_best
-        if best_q == math.inf:
-            raise DeadEndError(f"state {s} has no applicable action")
-        return best_q, best_succ
-
-    def _solved(self, s: int) -> bool:
-        return s in self._labeled or self.problem.is_goal(s)
-
-    def _trial(self, root: int) -> None:
-        path: list[int] = []
-        s = root
-        steps = 0
-        while not self._solved(s) and steps < self.step_cap:
-            value, succ = self._backup(s)
-            self._h[s] = value
-            path.append(s)
-            s = succ
-            steps += 1
-        for s in reversed(path):
-            value, succ = self._backup(s)
-            residual = value - self._h.get(s, 0.0)
-            self._h[s] = value
-            if residual < self.epsilon and self._solved(succ):
-                self._labeled.add(s)
-            else:
-                break
-
-
 def compute_hmin(
     problem: SspProblem,
     start: int | None = None,
     config: SolverConfig | None = None,
-) -> HminHeuristic:
-    """Labeled-LRTA* h_min heuristic, converged lazily per queried state."""
-    h = HminHeuristic(problem, config)
-    if start is not None:
-        h.value(start)
-    return h
+) -> Callable[[int], float]:
+    """Exact h_min (Bonet & Geffner 2003) on the states reachable from start.
+
+    h_min is the fixpoint of ``h(s) = min_a [C(s,a) + min_{s'} h(s')]`` over
+    the support of (s, a), with h = 0 on goals and inf where no goal is
+    reachable. One backward Dijkstra pass from the goals computes it, which
+    needs non-negative costs (validate_problem checks them). It is
+    consistent on the edges of the base model and so of every reduced model,
+    whose supports are subsets. `config` is unused. The returned h raises
+    KeyError for states not reachable from start.
+    """
+    root = problem.start if start is None else start
+    states = reachable_states(problem, root)
+    cost, mats, goal_rows = _transition_matrices(problem, states)
+    # Column s' of action a's matrix lists each s with s' in the support of
+    # (s, a): the predecessors of s' through a, at cost C(s, a). Edges and
+    # distances stay in numpy buffers read through memoryviews; a Python
+    # object per edge or per distance would lift peak memory above VI's.
+    into = []
+    for a, mat in enumerate(mats):
+        csc = mat.tocsc()
+        into.append((memoryview(csc.indptr), memoryview(csc.indices), memoryview(cost[:, a])))
+    h = np.full(len(states), np.inf)
+    dist = memoryview(h)
+    frontier = [(0.0, g) for g in goal_rows.tolist()]  # sorted, so a heap
+    for _, g in frontier:
+        dist[g] = 0.0
+    while frontier:
+        d, j = heapq.heappop(frontier)
+        if d > dist[j]:
+            continue
+        for ptr, src, weight in into:
+            for k in range(ptr[j], ptr[j + 1]):
+                i = src[k]
+                new = weight[i] + d
+                if new < dist[i]:
+                    dist[i] = new
+                    heapq.heappush(frontier, (new, i))
+    return dict(zip(states, h.tolist())).__getitem__
 
 
 def solve_lao_star(

@@ -5,6 +5,7 @@ straight to the terminal so it survives pytest's capture). The shared
 experiment runs use seed 0 and 100 trials per model.
 """
 
+import argparse
 import math
 import sys
 import time
@@ -29,7 +30,7 @@ from prmplan import (
     solve_lao_star,
     solve_value_iteration,
 )
-from prmplan.cli import main
+from prmplan.cli import _make_selector, main
 from prmplan.domains import desk_instances, large_instances
 
 SEED = 0
@@ -46,14 +47,8 @@ def report(number: int, name: str, ok: bool, detail: str = "") -> None:
 
 
 def run_protocol(problem, predicate, model_names):
-    profile = estimate_risk_profile(problem, predicate, seed=SEED)
-    available = {
-        "full": lambda: UniformSelector(FULL_MODEL),
-        "mlod": lambda: UniformSelector(MOST_LIKELY),
-        "m02": lambda: UniformSelector(M02),
-        "rm01": lambda: make_01rm_selector(profile, 0.25),
-    }
-    models = [(n, available[n]()) for n in model_names]
+    args = argparse.Namespace(samples=30, depth=4, seed=SEED, threshold=0.25)
+    models = [(n, _make_selector(n, problem, predicate, args)) for n in model_names]
     return run_experiment(problem, models, predicate, trials=TRIALS, seed=SEED)
 
 

@@ -1,5 +1,7 @@
 """Plan-execute-replan simulation and the experiment protocol."""
 
+import math
+
 import pytest
 
 from prmplan import (
@@ -7,6 +9,7 @@ from prmplan import (
     MOST_LIKELY,
     ModelSelector,
     RiskPredicate,
+    SelectorError,
     SimConfig,
     TableSelector,
     UniformSelector,
@@ -177,6 +180,45 @@ class TestRunExperiment:
         assert broken.failed and "boom" in broken.failure
         assert not full.failed
         assert len(full.trials) == 5
+
+    def test_failed_trial_does_not_stop_others(self, risky_fork):
+        # The initial MLOD plan never visits s2 (only the 0.1 branch of
+        # s0 -a0-> does), so the selector fails only when a trial replans
+        # there during execution.
+        problem, predicate = risky_fork
+
+        class NoPrincipleAtS2(UniformSelector):
+            def principle(self, s, a):
+                if s == 2:
+                    raise SelectorError(f"no principle for pair (s={s}, a={a})")
+                return super().principle(s, a)
+
+        report = run_experiment(
+            problem,
+            [("gap", NoPrincipleAtS2(MOST_LIKELY)), ("full", UniformSelector(FULL_MODEL))],
+            predicate,
+            trials=50,
+            seed=0,
+        )
+        gap, full = report.results
+        assert not gap.failed and len(gap.trials) == 50
+        failed = [t for t in gap.trials if t.failure]
+        assert failed and all("SelectorError" in t.failure for t in failed)
+        assert all(not t.reached_goal for t in failed)
+        assert gap.goal_trials == 50 - len(failed)
+        assert full.goal_trials == 50
+
+    def test_pct_columns_nan_on_zero_denominators(self):
+        problem = tabular_problem(transitions={}, costs={}, start=0, goals={0})
+        predicate = RiskPredicate(evaluate=lambda s: False)
+        report = run_experiment(
+            problem, [("full", UniformSelector(FULL_MODEL))], predicate, trials=3
+        )
+        result = report.results[0]
+        assert report.optimal_value == 0.0
+        assert math.isnan(result.pct_cost_increase(report.optimal_value))
+        assert math.isnan(result.pct_time_savings(0.0))
+        assert result.goal_trials == 3
 
     def test_mean_cost_lower_bounded_by_optimal(self, risky_fork):
         # Expectation bound with a generous sampling allowance: the sample

@@ -1,5 +1,7 @@
 """Solvers: VI oracle, LAO*, h_min heuristic, and the deterministic A* path."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -36,6 +38,27 @@ def random_proper_ssp(seed: int, n_states: int = 12, n_actions: int = 3):
             transitions[(s, a)] = [(s2, p / total) for s2, p in sorted(succs.items())]
             costs[(s, a)] = float(rng.uniform(0.5, 3.0))
     return tabular_problem(transitions, costs, start=0, goals={goal})
+
+
+def hmin_reference(problem):
+    """Bellman-Ford on the all-outcomes-min relaxation, by plain loops:
+    h(s) = min_a [C(s,a) + min_{s'} h(s')], h = 0 on goals."""
+    states = reachable_states(problem)
+    h = {s: 0.0 if problem.is_goal(s) else math.inf for s in states}
+    for _ in range(len(states)):
+        changed = False
+        for s in states:
+            if problem.is_goal(s):
+                continue
+            for a in problem.actions(s):
+                for s2, _ in problem.transition(s, a):
+                    q = problem.cost(s, a) + h[s2]
+                    if q < h[s]:
+                        h[s] = q
+                        changed = True
+        if not changed:
+            return h
+    raise AssertionError("Bellman-Ford did not settle")
 
 
 class TestValueIteration:
@@ -119,10 +142,6 @@ class TestHmin:
         h = compute_hmin(problem, start=0)
         assert h(0) == pytest.approx(1.0, abs=2 * EPS)
 
-    def test_lazy_evaluation(self, chain3):
-        h = compute_hmin(chain3)  # no start: nothing computed yet
-        assert len(h._h) == 0
-
     @pytest.mark.parametrize("seed", range(4))
     def test_admissible_against_vi(self, seed):
         problem = random_proper_ssp(seed)
@@ -130,6 +149,61 @@ class TestHmin:
         h = compute_hmin(problem)
         for s in reachable_states(problem):
             assert h(s) <= vi.values[s] + 2 * EPS
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_exact_on_random_ssps(self, seed):
+        problem = random_proper_ssp(seed)
+        h = compute_hmin(problem)
+        assert {s: h(s) for s in reachable_states(problem)} == hmin_reference(problem)
+
+    def test_exact_on_sailing(self, small_sailing):
+        problem, _ = small_sailing
+        h = compute_hmin(problem)
+        assert {s: h(s) for s in reachable_states(problem)} == hmin_reference(problem)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_consistent_without_epsilon(self, seed):
+        problem = random_proper_ssp(seed)
+        h = compute_hmin(problem)
+        for s in reachable_states(problem):
+            if problem.is_goal(s):
+                continue
+            for a in problem.actions(s):
+                for s2, _ in problem.transition(s, a):
+                    assert h(s) <= problem.cost(s, a) + h(s2)
+
+    def test_trap_state_is_infinite(self):
+        # State 1 loops on itself and never reaches the goal.
+        problem = tabular_problem(
+            transitions={(0, 0): [(1, 0.5), (2, 0.5)], (1, 0): [(1, 1.0)]},
+            costs={(0, 0): 1.0, (1, 0): 1.0},
+            start=0,
+            goals={2},
+        )
+        h = compute_hmin(problem)
+        assert h(1) == math.inf
+        assert h(0) == 1.0
+
+    def test_zero_cost_edge(self):
+        problem = tabular_problem(
+            transitions={(0, 0): [(1, 1.0)], (1, 0): [(2, 1.0)]},
+            costs={(0, 0): 0.0, (1, 0): 1.0},
+            start=0,
+            goals={2},
+        )
+        h = compute_hmin(problem)
+        assert h(0) == 1.0
+
+    def test_parallel_actions_take_the_cheaper(self):
+        # Both actions of s0 reach s1; h uses the cheaper, not their sum.
+        problem = tabular_problem(
+            transitions={(0, 0): [(1, 1.0)], (0, 1): [(1, 1.0)], (1, 0): [(2, 1.0)]},
+            costs={(0, 0): 2.0, (0, 1): 3.0, (1, 0): 1.0},
+            start=0,
+            goals={2},
+        )
+        h = compute_hmin(problem)
+        assert h(0) == 3.0
 
     def test_admissible_on_sailing(self, small_sailing):
         problem, _ = small_sailing
