@@ -1,8 +1,11 @@
 """Core stochastic shortest path model: problems, values, policies, backups.
 
 States and actions are dense integer ids within one problem instance.
-Successor distributions are generated on demand by domain callbacks and
-memoized, so large instances never materialize a full transition table.
+Domain callbacks are queried on demand and memoized two ways: per pair
+(`actions`, `cost`, `transition`) and per state (`record`: every action
+of the state with its cost and distribution, read by the Bellman kernel,
+LAO*, A* and the random-walk sampler). Both fill only for the pairs and
+states a caller asks about.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ PROB_TOL = 1e-9
 
 Outcome = tuple[int, float]
 Distribution = tuple[Outcome, ...]
+# Parallel tuples (actions, costs, distributions) of one state.
+StateRecord = tuple[tuple[int, ...], tuple[float, ...], tuple[Distribution, ...]]
 
 # Partial policies are plain dicts: states outside the solved envelope are
 # simply absent, so policy.get(s) is None exactly when replanning is needed.
@@ -58,8 +63,11 @@ def make_distribution(entries: Iterable[tuple[int, float]]) -> Distribution:
 class SspProblem:
     """Explicit-state SSP ⟨states, actions, transition, cost, start, goals⟩.
 
-    Immutable after construction (memo dicts fill idempotently), so one
-    instance can back any number of concurrent solves and trials.
+    Two read paths share the domain callbacks: the per-pair API
+    (`actions`, `cost`, `transition`) and the per-state `record`, which is
+    built from it. Immutable after construction (memo dicts fill
+    idempotently), so one instance can back any number of concurrent solves
+    and trials.
     """
 
     def __init__(
@@ -82,7 +90,10 @@ class SspProblem:
         self._transition_fn = transition_fn
         self._cost_fn = cost_fn
         self._action_memo: dict[int, tuple[int, ...]] = {}
-        self._transition_memo: dict[tuple[int, int], Distribution] = {}
+        # Keyed by state, then action: an (s, a) tuple key per pair costs
+        # more memory than the per-state records add.
+        self._transition_memo: dict[int, dict[int, Distribution]] = {}
+        self._record_memo: dict[int, StateRecord] = {}
 
     def is_goal(self, s: int) -> bool:
         return s in self.goals
@@ -95,8 +106,8 @@ class SspProblem:
         return acts
 
     def transition(self, s: int, a: int) -> Distribution:
-        key = (s, a)
-        dist = self._transition_memo.get(key)
+        by_action = self._transition_memo.get(s)
+        dist = by_action.get(a) if by_action is not None else None
         if dist is None:
             if a not in self.actions(s):
                 raise ModelError(f"action {a} not applicable in state {s}")
@@ -104,11 +115,31 @@ class SspProblem:
                 dist = make_distribution(self._transition_fn(s, a))
             except ModelError as exc:
                 raise ModelError(f"at (s={s}, a={a}): {exc}") from None
-            self._transition_memo[key] = dist
+            self._transition_memo.setdefault(s, {})[a] = dist
         return dist
 
     def cost(self, s: int, a: int) -> float:
         return self._cost_fn(s, a)
+
+    def record(self, s: int) -> StateRecord:
+        """The applicable actions of s in id order, with their costs and
+        distributions, as three parallel tuples.
+
+        Built pair by pair, in action order, from `cost` and `transition`,
+        so an error surfaces for the pair that raised it, and a record whose
+        build raised is not kept.
+        """
+        rec = self._record_memo.get(s)
+        if rec is None:
+            acts = self.actions(s)
+            costs = []
+            dists = []
+            for a in acts:
+                costs.append(self.cost(s, a))
+                dists.append(self.transition(s, a))
+            rec = (acts, tuple(costs), tuple(dists))
+            self._record_memo[s] = rec
+        return rec
 
 
 def tabular_problem(
@@ -204,18 +235,25 @@ class ValueTable:
 def bellman_backup(problem: SspProblem, values: ValueTable, s: int) -> tuple[float, int]:
     """One Bellman backup: min over actions of C(s,a) + E[V(successor)].
 
+    Reads the state's record and the table's dict directly; an unseen
+    successor gets the table's heuristic value, stored as on a table read.
     Ties break toward the lowest action id. Raises DeadEndError when the
     state has no applicable action (improper model).
     """
-    acts = problem.actions(s)
+    acts, costs, dists = problem.record(s)
     if not acts:
         raise DeadEndError(f"state {s} has no applicable action")
+    known = values._values
+    h = values.heuristic
     best_q = math.inf
     best_a = acts[0]
-    for a in acts:
-        q = problem.cost(s, a)
-        for s2, p in problem.transition(s, a):
-            q += p * values[s2]
+    for a, q, dist in zip(acts, costs, dists):
+        for s2, p in dist:
+            try:
+                v = known[s2]
+            except KeyError:
+                v = known[s2] = float(h(s2)) if h is not None else 0.0
+            q += p * v
         if q < best_q:
             best_q = q
             best_a = a

@@ -57,9 +57,8 @@ def sample_walks(
         for _ in range(depth):
             if problem.is_goal(s):
                 break
-            acts = problem.actions(s)
-            a = acts[rng.integers(len(acts))]
-            dist = problem.transition(s, a)
+            acts, _, dists = problem.record(s)
+            dist = dists[rng.integers(len(acts))]
             u = rng.random()
             acc = 0.0
             s2 = dist[-1][0]

@@ -20,10 +20,12 @@ from .mdp import DeadEndError, SspProblem, ValueTable
 from .reduction import ModelSelector, ReducedModel, build_reduced_model
 from .risk import RiskPredicate
 from .solvers import (
+    CompiledModel,
     EnumerationCapError,
     NonconvergenceError,
     Solution,
     SolverConfig,
+    compile_model,
     compute_hmin,
     solve_deterministic,
     solve_lao_star,
@@ -34,7 +36,7 @@ from .solvers import (
 @dataclass
 class SimConfig:
     epsilon: float = 1e-3
-    step_cap: int | None = None  # default 10 x reachable |S| of the base model
+    step_cap: int | None = None  # default 10 x base.n_states
     solver_max_iterations: int = 100_000
     enumeration_cap: int = 200_000
     jobs: int = 1
@@ -207,14 +209,19 @@ def run_trial(
     return stats
 
 
-def optimal_start_value(base: SspProblem, config: SimConfig | None = None) -> float:
+def optimal_start_value(
+    base: SspProblem,
+    config: SimConfig | None = None,
+    compiled: CompiledModel | None = None,
+) -> float:
     """V*(s0) of the full model: VI on desk-scale instances, converged LAO*
-    (with the h_min heuristic) above the enumeration cap."""
+    (with the h_min heuristic) above the enumeration cap. `compiled`, when
+    given, is `compile_model(base)`, which is then not rebuilt."""
     config = config or SimConfig()
     try:
-        return solve_value_iteration(base, config.solver_config()).start_value
+        return solve_value_iteration(base, config.solver_config(), compiled=compiled).start_value
     except EnumerationCapError:
-        hmin = compute_hmin(base)
+        hmin = compute_hmin(base, compiled=compiled)
         return solve_lao_star(base, config=config.solver_config(hmin)).start_value
 
 
@@ -239,11 +246,15 @@ def run_experiment(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     config = config or SimConfig()
+    # h_min and V*(s0) share one compilation of the base model, dropped
+    # before the timed solves.
+    compiled = compile_model(base)
     if heuristic is None:
-        heuristic = compute_hmin(base)
+        heuristic = compute_hmin(base, compiled=compiled)
+    optimal = optimal_start_value(base, config, compiled)
+    del compiled
     solver_cfg = config.solver_config(heuristic)
 
-    optimal = optimal_start_value(base, config)
     t0 = time.perf_counter()
     solve_lao_star(base, config=solver_cfg)
     t_full = time.perf_counter() - t0

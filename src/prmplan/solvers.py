@@ -1,7 +1,8 @@
 """Solvers: value iteration oracle, exact h_min heuristic, LAO*, and A*.
 
-Value iteration and h_min both work on the problem compiled to per-action
-sparse transition matrices; LAO* and A* query the problem directly.
+Value iteration and h_min both work on the problem compiled, through the
+per-pair API, to per-action sparse transition matrices; LAO* and A* read
+the problem's per-state records, through the Bellman kernel for LAO*.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import math
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
@@ -59,13 +61,21 @@ class Solution:
         return self.values[self.start]
 
 
-def _transition_matrices(
-    problem: SspProblem, states: list[int]
-) -> tuple[np.ndarray, list[sparse.csr_matrix], np.ndarray]:
-    """Compile `states` (closed under successors) into arrays indexed by
-    position: the (n, |A|) cost array, inf where an action does not apply
-    and on goal rows; one sparse n x n transition matrix per action; and
-    the goal rows. Raises DeadEndError for a non-goal state without actions.
+class CompiledModel(NamedTuple):
+    """States reachable from one root (root first), compiled to arrays
+    indexed by position in `states`: the (n, |A|) cost array, inf where an
+    action does not apply and on goal rows; one sparse n x n transition
+    matrix per action; and the goal rows."""
+
+    states: list[int]
+    cost: np.ndarray
+    mats: list[sparse.csr_matrix]
+    goal_rows: np.ndarray
+
+
+def _transition_matrices(problem: SspProblem, states: list[int]) -> CompiledModel:
+    """Compile `states` (closed under successors) through the per-pair API.
+    Raises DeadEndError for a non-goal state without actions.
     """
     n = len(states)
     index = {s: i for i, s in enumerate(states)}
@@ -92,30 +102,39 @@ def _transition_matrices(
         sparse.csr_matrix((data[a], (rows[a], cols[a])), shape=(n, n))
         for a in range(n_a)
     ]
-    return cost, mats, np.array(goal_rows, dtype=int)
+    return CompiledModel(states, cost, mats, np.array(goal_rows, dtype=int))
+
+
+def compile_model(problem: SspProblem, start: int | None = None) -> CompiledModel:
+    """The problem compiled over the states reachable from start (default s0)."""
+    return _transition_matrices(problem, reachable_states(problem, start))
 
 
 def solve_value_iteration(
     problem: SspProblem,
     config: SolverConfig | None = None,
     start: int | None = None,
+    compiled: CompiledModel | None = None,
 ) -> Solution:
     """Full-sweep value iteration over all states reachable from start.
 
     The desk-scale oracle: vectorized sweeps over sparse per-action
     transition matrices until the sup-norm residual drops below epsilon.
-    Refuses instances above the enumeration cap.
+    Refuses instances above the enumeration cap. `compiled`, when given,
+    is `compile_model(problem, start)`, which is then not rebuilt.
     """
     config = config or SolverConfig()
     root = problem.start if start is None else start
     t0 = time.perf_counter()
-    states = reachable_states(problem, root)
+    states = reachable_states(problem, root) if compiled is None else compiled.states
     n = len(states)
     if n > config.enumeration_cap:
         raise EnumerationCapError(
             f"{n} reachable states exceed enumeration cap {config.enumeration_cap}"
         )
-    cost, mats, goal_rows = _transition_matrices(problem, states)
+    if compiled is None:
+        compiled = _transition_matrices(problem, states)
+    _, cost, mats, goal_rows = compiled
     n_a = problem.n_actions
 
     v = np.zeros(n)
@@ -151,6 +170,7 @@ def compute_hmin(
     problem: SspProblem,
     start: int | None = None,
     config: SolverConfig | None = None,
+    compiled: CompiledModel | None = None,
 ) -> Callable[[int], float]:
     """Exact h_min (Bonet & Geffner 2003) on the states reachable from start.
 
@@ -159,12 +179,13 @@ def compute_hmin(
     reachable. One backward Dijkstra pass from the goals computes it, which
     needs non-negative costs (validate_problem checks them). It is
     consistent on the edges of the base model and so of every reduced model,
-    whose supports are subsets. `config` is unused. The returned h raises
-    KeyError for states not reachable from start.
+    whose supports are subsets. `config` is unused. `compiled`, when given,
+    is `compile_model(problem, start)`, which is then not rebuilt. The
+    returned h raises KeyError for states not reachable from start.
     """
-    root = problem.start if start is None else start
-    states = reachable_states(problem, root)
-    cost, mats, goal_rows = _transition_matrices(problem, states)
+    if compiled is None:
+        compiled = compile_model(problem, start)
+    states, cost, mats, goal_rows = compiled
     # Column s' of action a's matrix lists each s with s' in the support of
     # (s, a): the predecessors of s' through a, at cost C(s, a). Edges and
     # distances stay in numpy buffers read through memoryviews; a Python
@@ -231,7 +252,8 @@ def solve_lao_star(
                 val, a = bellman_backup(problem, v, s)
                 v[s] = val
                 greedy[s] = a
-            for s2, _ in problem.transition(s, a):
+            acts, _, dists = problem.record(s)
+            for s2, _ in dists[acts.index(a)]:
                 if s2 not in seen:
                     seen.add(s2)
                     stack.append(s2)
@@ -327,14 +349,13 @@ def solve_deterministic(
         if problem.is_goal(s):
             goal = s
             break
-        for a in problem.actions(s):
-            dist = problem.transition(s, a)
+        for a, c, dist in zip(*problem.record(s)):
             if len(dist) != 1:
                 raise ModelError(
                     f"stochastic outcome at (s={s}, a={a}); A* needs a determinized model"
                 )
             s2 = dist[0][0]
-            new_g = g_cost[s] + problem.cost(s, a)
+            new_g = g_cost[s] + c
             if s2 not in g_cost or new_g < g_cost[s2]:
                 g_cost[s2] = new_g
                 parent[s2] = (s, a)

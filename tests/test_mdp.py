@@ -1,24 +1,71 @@
 """Core model layer: distributions, backups, reachability, validation."""
 
+import argparse
 import math
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from test_solvers import random_proper_ssp
 
 from prmplan import (
+    MOST_LIKELY,
     DeadEndError,
     ModelError,
+    SelectorError,
     SolverConfig,
     SspProblem,
+    TableSelector,
     ValueTable,
     bellman_backup,
+    build_reduced_model,
+    compute_hmin,
     make_distribution,
     reachable_states,
     solve_value_iteration,
     tabular_problem,
     validate_problem,
 )
+from prmplan.cli import _make_selector
+from prmplan.domains import build_instance
+
+REDUCTIONS = ("mlod", "m02", "rm01")
+
+
+def reference_backup(problem, values, s):
+    """The Bellman backup by plain loops over the per-pair API and
+    ValueTable reads: costs first, then outcomes in distribution order."""
+    acts = problem.actions(s)
+    if not acts:
+        raise DeadEndError(f"state {s} has no applicable action")
+    best_q, best_a = math.inf, acts[0]
+    for a in acts:
+        q = problem.cost(s, a)
+        for s2, p in problem.transition(s, a):
+            q += p * values[s2]
+        if q < best_q:
+            best_q, best_a = q, a
+    return best_q, best_a
+
+
+@pytest.fixture(scope="module")
+def domain_models():
+    """(label, base, {reduction name: selector}) for ring-3, sailing 8M and
+    EV gen-1; reduced models are built fresh by each test, so every test
+    starts from empty per-state records."""
+    args = argparse.Namespace(samples=30, depth=4, seed=0, threshold=0.25)
+    out = []
+    for domain, instance in (("racetrack", "ring-3"), ("sailing", "8M"), ("ev", "gen-1")):
+        base, predicate = build_instance(domain, instance)
+        selectors = {n: _make_selector(n, base, predicate, args) for n in REDUCTIONS}
+        out.append((f"{domain}-{instance}", base, selectors))
+    return out
+
+
+def model_variants(base, selectors):
+    yield "base", base
+    for name, selector in selectors.items():
+        yield name, build_reduced_model(base, selector, name=name)
 
 
 class TestMakeDistribution:
@@ -111,6 +158,92 @@ class TestBellmanBackup:
         v_low, _ = bellman_backup(problem, ValueTable(values={1: lo, 2: 0.0}), 0)
         v_high, _ = bellman_backup(problem, ValueTable(values={1: hi, 2: 0.0}), 0)
         assert v_high >= v_low
+
+
+class TestBackupKernel:
+    """bellman_backup reads per-state records and the table's dict; it must
+    equal the per-pair reference bit for bit, heuristic fills included."""
+
+    @staticmethod
+    def assert_matches_reference(problem, heuristic, states, sweeps=2):
+        kernel_fills, reference_fills = [], []
+
+        def counted(fills):
+            def h(s):
+                fills.append(s)
+                return heuristic(s)
+
+            return h if heuristic is not None else None
+
+        kernel = ValueTable(counted(kernel_fills))
+        reference = ValueTable(counted(reference_fills))
+        for _ in range(sweeps):
+            for s in states:
+                got = bellman_backup(problem, kernel, s)
+                want = reference_backup(problem, reference, s)
+                assert got == want, f"state {s}"
+                kernel[s] = got[0]
+                reference[s] = want[0]
+        assert kernel.known() == reference.known()
+        assert kernel_fills == reference_fills
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_exact_on_random_ssps(self, seed):
+        problem = random_proper_ssp(seed)
+        states = reachable_states(problem)
+        self.assert_matches_reference(problem, None, states)
+        self.assert_matches_reference(problem, lambda s: 0.37 * s, states)
+
+    def test_exact_on_domain_reductions(self, domain_models):
+        for _, base, selectors in domain_models:
+            states = reachable_states(base)
+            hmin = compute_hmin(base)
+
+            def skewed(s):
+                # h_min leaves many exact ties between actions; this breaks most.
+                return hmin(s) * (1.0 + 1e-3 * (s % 7))
+
+            for _, problem in model_variants(base, selectors):
+                self.assert_matches_reference(problem, hmin, states)
+                self.assert_matches_reference(problem, skewed, states)
+
+
+class TestStateRecord:
+    def test_equals_per_pair_api(self, domain_models):
+        for label, base, selectors in domain_models:
+            for name, problem in model_variants(base, selectors):
+                for s in reachable_states(base):
+                    record = problem.record(s)
+                    acts = problem.actions(s)
+                    expected = (
+                        acts,
+                        tuple(problem.cost(s, a) for a in acts),
+                        tuple(problem.transition(s, a) for a in acts),
+                    )
+                    assert record == expected, f"{label}/{name} state {s}"
+
+    def test_selector_error_leaves_no_partial_record(self, risky_fork):
+        problem, _ = risky_fork
+        reduced = build_reduced_model(problem, TableSelector({(0, 0): MOST_LIKELY}))
+        for _ in range(3):
+            with pytest.raises(SelectorError, match=r"s=0, a=1"):
+                bellman_backup(reduced, ValueTable(), 0)
+        with pytest.raises(SelectorError, match=r"s=0, a=1"):
+            reduced.record(0)
+
+    def test_model_error_names_the_pair(self):
+        problem = SspProblem(
+            n_states=2,
+            n_actions=2,
+            start=0,
+            goals={1},
+            actions_fn=lambda s: [0, 1],
+            transition_fn=lambda s, a: [(1, 1.0)] if a == 0 else [(1, 0.5)],
+            cost_fn=lambda s, a: 1.0,
+        )
+        for _ in range(2):
+            with pytest.raises(ModelError, match=r"s=0, a=1"):
+                bellman_backup(problem, ValueTable(), 0)
 
 
 class TestValueTable:
