@@ -15,7 +15,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from prmplan import SimConfig, run_experiment  # noqa: E402
-from prmplan.cli import _make_selector  # noqa: E402
+from prmplan.cli import _align_columns, _make_selector  # noqa: E402
 from prmplan.domains import desk_instances, large_instances  # noqa: E402
 
 
@@ -49,8 +49,7 @@ def evaluate(name, problem, predicate, model_names, trials, seed, jobs):
 
 def print_table(title, rows, columns):
     print(f"\n== {title} ==")
-    headers = ["instance", "states"] + [m for m, _ in columns]
-    table = [headers]
+    table = [["instance", "states"] + [m for m, _ in columns]]
     instances = sorted({r["instance"] for r in rows})
     for instance in instances:
         mine = {r["model"]: r for r in rows if r["instance"] == instance}
@@ -58,11 +57,7 @@ def print_table(title, rows, columns):
         for model, field in columns:
             line.append(f"{mine[model][field]:.2f}" if model in mine else "-")
         table.append(line)
-    widths = [max(len(r[i]) for r in table) for i in range(len(headers))]
-    for i, line in enumerate(table):
-        print("  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip())
-        if i == 0:
-            print("  ".join("-" * w for w in widths))
+    print("\n".join(_align_columns(table)))
 
 
 def main(argv=None):

@@ -159,26 +159,32 @@ def cmd_solve(args) -> int:
     return 0
 
 
-def _format_table(rows: list[dict], optimal: float, t_full: float) -> str:
-    headers = ("model", "avg NSE", "% cost increase", "% time savings")
-    cells = [headers]
-    for row in rows:
-        cells.append(
-            (
-                row["model"],
-                f"{row['avg_nse']:.2f}",
-                f"{row['pct_cost_increase']:.2f}",
-                f"{row['pct_time_savings']:.2f}",
-            )
-        )
-    widths = [max(len(r[i]) for r in cells) for i in range(len(headers))]
-    lines = [
-        f"optimal cost V*(s0) = {optimal:.4f}; full-model solve time = {t_full:.3f}s"
-    ]
+def _align_columns(cells: list[list[str]]) -> list[str]:
+    """Left-aligned columns two spaces apart, the header row underlined."""
+    widths = [max(len(r[i]) for r in cells) for i in range(len(cells[0]))]
+    lines = []
     for i, row in enumerate(cells):
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
         if i == 0:
             lines.append("  ".join("-" * w for w in widths))
+    return lines
+
+
+def _format_table(rows: list[dict], optimal: float, t_full: float) -> str:
+    cells = [["model", "avg NSE", "% cost increase", "% time savings"]]
+    for row in rows:
+        cells.append(
+            [
+                row["model"],
+                f"{row['avg_nse']:.2f}",
+                f"{row['pct_cost_increase']:.2f}",
+                f"{row['pct_time_savings']:.2f}",
+            ]
+        )
+    lines = [
+        f"optimal cost V*(s0) = {optimal:.4f}; full-model solve time = {t_full:.3f}s",
+        *_align_columns(cells),
+    ]
     return "\n".join(lines) + "\n"
 
 

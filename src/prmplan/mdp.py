@@ -1,11 +1,11 @@
 """Core stochastic shortest path model: problems, values, policies, backups.
 
 States and actions are dense integer ids within one problem instance.
-Domain callbacks are queried on demand and memoized two ways: per pair
-(`actions`, `cost`, `transition`) and per state (`record`: every action
-of the state with its cost and distribution, read by the Bellman kernel,
-LAO*, A* and the random-walk sampler). Both fill only for the pairs and
-states a caller asks about.
+Each problem keeps one memo: the per-state record of every applicable
+action with its cost and distribution, built on first use from the domain
+callbacks. The Bellman kernel, LAO*, A*, the random-walk sampler and the
+model walkers read records; the per-pair API (`actions`, `cost`,
+`transition`) is a view of them.
 """
 
 from __future__ import annotations
@@ -63,9 +63,9 @@ def make_distribution(entries: Iterable[tuple[int, float]]) -> Distribution:
 class SspProblem:
     """Explicit-state SSP ⟨states, actions, transition, cost, start, goals⟩.
 
-    Two read paths share the domain callbacks: the per-pair API
-    (`actions`, `cost`, `transition`) and the per-state `record`, which is
-    built from it. Immutable after construction (memo dicts fill
+    `record(s)` holds the applicable actions of s in id order, their costs
+    and their validated distributions, memoized per state; `actions`, `cost`
+    and `transition` read it. Immutable after construction (the memo fills
     idempotently), so one instance can back any number of concurrent solves
     and trials.
     """
@@ -89,57 +89,48 @@ class SspProblem:
         self._actions_fn = actions_fn
         self._transition_fn = transition_fn
         self._cost_fn = cost_fn
-        self._action_memo: dict[int, tuple[int, ...]] = {}
-        # Keyed by state, then action: an (s, a) tuple key per pair costs
-        # more memory than the per-state records add.
-        self._transition_memo: dict[int, dict[int, Distribution]] = {}
         self._record_memo: dict[int, StateRecord] = {}
 
     def is_goal(self, s: int) -> bool:
         return s in self.goals
 
-    def actions(self, s: int) -> tuple[int, ...]:
-        acts = self._action_memo.get(s)
-        if acts is None:
-            acts = tuple(sorted(self._actions_fn(s)))
-            self._action_memo[s] = acts
-        return acts
-
-    def transition(self, s: int, a: int) -> Distribution:
-        by_action = self._transition_memo.get(s)
-        dist = by_action.get(a) if by_action is not None else None
-        if dist is None:
-            if a not in self.actions(s):
-                raise ModelError(f"action {a} not applicable in state {s}")
-            try:
-                dist = make_distribution(self._transition_fn(s, a))
-            except ModelError as exc:
-                raise ModelError(f"at (s={s}, a={a}): {exc}") from None
-            self._transition_memo.setdefault(s, {})[a] = dist
-        return dist
-
-    def cost(self, s: int, a: int) -> float:
-        return self._cost_fn(s, a)
-
     def record(self, s: int) -> StateRecord:
         """The applicable actions of s in id order, with their costs and
-        distributions, as three parallel tuples.
-
-        Built pair by pair, in action order, from `cost` and `transition`,
-        so an error surfaces for the pair that raised it, and a record whose
-        build raised is not kept.
-        """
+        distributions, as three parallel tuples. A ModelError names the pair
+        that raised it, and a record whose build raised is not kept."""
         rec = self._record_memo.get(s)
         if rec is None:
-            acts = self.actions(s)
-            costs = []
-            dists = []
-            for a in acts:
-                costs.append(self.cost(s, a))
-                dists.append(self.transition(s, a))
-            rec = (acts, tuple(costs), tuple(dists))
-            self._record_memo[s] = rec
+            rec = self._record_memo[s] = self._build_record(s)
         return rec
+
+    def _build_record(self, s: int) -> StateRecord:
+        acts = tuple(sorted(self._actions_fn(s)))
+        costs = []
+        dists = []
+        for a in acts:
+            costs.append(self._cost_fn(s, a))
+            try:
+                dists.append(make_distribution(self._transition_fn(s, a)))
+            except ModelError as exc:
+                raise ModelError(f"at (s={s}, a={a}): {exc}") from None
+        return acts, tuple(costs), tuple(dists)
+
+    def actions(self, s: int) -> tuple[int, ...]:
+        return self.record(s)[0]
+
+    def cost(self, s: int, a: int) -> float:
+        return self._pair(s, a)[0]
+
+    def transition(self, s: int, a: int) -> Distribution:
+        return self._pair(s, a)[1]
+
+    def _pair(self, s: int, a: int) -> tuple[float, Distribution]:
+        acts, costs, dists = self.record(s)
+        try:
+            i = acts.index(a)
+        except ValueError:
+            raise ModelError(f"action {a} not applicable in state {s}") from None
+        return costs[i], dists[i]
 
 
 def tabular_problem(
@@ -270,8 +261,8 @@ def reachable_states(problem: SspProblem, start: int | None = None) -> list[int]
         s = queue.popleft()
         if problem.is_goal(s):
             continue
-        for a in problem.actions(s):
-            for s2, _ in problem.transition(s, a):
+        for dist in problem.record(s)[2]:
+            for s2, _ in dist:
                 if s2 not in seen:
                     seen.add(s2)
                     order.append(s2)
@@ -294,27 +285,25 @@ def validate_problem(problem: SspProblem) -> list[str]:
 
     successors: dict[int, list[int]] = {}
     for s in states:
-        acts = problem.actions(s)
+        # Only goal records can fail here: the sweep built every other one.
+        try:
+            acts, costs, dists = problem.record(s)
+        except ModelError as exc:
+            violations.append(f"normalization violation {exc}")
+            continue
         if not acts:
             violations.append(f"dead end: state {s} has no applicable action")
             continue
-        succ: list[int] = []
-        for a in acts:
-            try:
-                dist = problem.transition(s, a)
-            except ModelError as exc:
-                violations.append(f"normalization violation at (s={s}, a={a}): {exc}")
-                continue
-            succ.extend(s2 for s2, _ in dist)
-            c = problem.cost(s, a)
-            if problem.is_goal(s):
+        goal = problem.is_goal(s)
+        for a, c, dist in zip(acts, costs, dists):
+            if goal:
                 if c != 0.0:
                     violations.append(f"goal cost violation: cost({s},{a}) = {c} != 0")
                 if dist != ((s, 1.0),):
                     violations.append(f"goal absorption violation at (s={s}, a={a})")
             elif not c > 0.0:
                 violations.append(f"cost sign violation: cost({s},{a}) = {c} <= 0")
-        successors[s] = succ
+        successors[s] = [s2 for dist in dists for s2, _ in dist]
 
     # Properness: reverse reachability from the goals over the forward graph.
     reverse: dict[int, list[int]] = {s: [] for s in states}

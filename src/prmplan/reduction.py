@@ -1,10 +1,11 @@
 """Outcome selection principles, model selectors, and reduced model assembly.
 
 A reduced model keeps a per-(state, action) subset of the full model's
-outcomes and renormalizes the kept probabilities. The model selector decides
-which outcome selection principle applies to each pair; the 0/1 variant
-switches between full fidelity near risky states and most-likely-outcome
-determinization elsewhere.
+outcomes and renormalizes the kept probabilities; its state records are
+derived from the base model's. The model selector decides which outcome
+selection principle applies to each pair; the 0/1 variant switches between
+full fidelity near risky states and most-likely-outcome determinization
+elsewhere.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .mdp import Distribution, SspProblem, reachable_states
+from .mdp import Distribution, SspProblem, StateRecord, make_distribution, reachable_states
 
 if TYPE_CHECKING:
     from .risk import RiskProfile
@@ -155,29 +156,33 @@ def make_01rm_selector(
 
 
 class ReducedModel(SspProblem):
-    """The base problem with its transition function rewritten per selector.
+    """The base problem with each distribution cut by the selector.
 
-    States, actions, costs, start, and goals are shared with the base;
-    reduced distributions are memoized lazily per pair (the memo fill is
-    idempotent, so concurrent readers are safe).
+    States, start and goals are the base's. Each record is derived from
+    the base's record of the same state: the action and cost tuples are
+    shared, a distribution the principle keeps whole is the base's object,
+    and a cut one is renormalized by `make_distribution`. The selector is
+    asked once per pair, when the state's record is built.
     """
 
     def __init__(self, base: SspProblem, selector: ModelSelector, name: str = ""):
         self.base = base
         self.selector = selector
-        super().__init__(
-            n_states=base.n_states,
-            n_actions=base.n_actions,
-            start=base.start,
-            goals=base.goals,
-            actions_fn=base.actions,
-            transition_fn=self._reduced_transition,
-            cost_fn=base.cost,
-            name=name or (f"{base.name}/reduced" if base.name else "reduced"),
-        )
+        self.n_states = base.n_states
+        self.n_actions = base.n_actions
+        self.start = base.start
+        self.goals = base.goals
+        self.name = name or (f"{base.name}/reduced" if base.name else "reduced")
+        self._record_memo: dict[int, StateRecord] = {}
 
-    def _reduced_transition(self, s: int, a: int):
-        return select_outcomes(self.selector.principle(s, a), self.base.transition(s, a))
+    def _build_record(self, s: int) -> StateRecord:
+        acts, costs, dists = self.base.record(s)
+        principle = self.selector.principle
+        reduced = []
+        for a, dist in zip(acts, dists):
+            kept = select_outcomes(principle(s, a), dist)
+            reduced.append(dist if kept is dist else make_distribution(kept))
+        return acts, costs, tuple(reduced)
 
     @property
     def deterministic(self) -> bool:

@@ -142,12 +142,12 @@ def exact_risk_reachability(
         cached = memo.get(key)
         if cached is not None:
             return cached
-        acts = problem.actions(s)
+        dists = problem.record(s)[2]
         total = 0.0
-        for a in acts:
-            for s2, p in problem.transition(s, a):
+        for dist in dists:
+            for s2, p in dist:
                 total += p * hit(s2, remaining - 1)
-        value = total / len(acts)
+        value = total / len(dists)
         memo[key] = value
         return value
 
@@ -163,9 +163,9 @@ def nse_set(
     for s in reachable_states(base):
         if base.is_goal(s):
             continue
-        for a in base.actions(s):
-            kept = {s2 for s2, _ in reduced.transition(s, a)}
-            for s2, _ in base.transition(s, a):
+        for full, cut in zip(base.record(s)[2], reduced.record(s)[2]):
+            kept = {s2 for s2, _ in cut}
+            for s2, _ in full:
                 if s2 not in kept and predicate(s2):
                     result.add(s2)
     return result

@@ -1,8 +1,8 @@
 """Solvers: value iteration oracle, exact h_min heuristic, LAO*, and A*.
 
-Value iteration and h_min both work on the problem compiled, through the
-per-pair API, to per-action sparse transition matrices; LAO* and A* read
-the problem's per-state records, through the Bellman kernel for LAO*.
+Every solver reads the problem's one memo, its per-state records: value
+iteration and h_min compile them to per-action sparse transition matrices,
+LAO* reads them through the Bellman kernel, and A* directly.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from scipy import sparse
 
 from .mdp import (
     DeadEndError,
+    ModelError,
     Policy,
     SspProblem,
     ValueTable,
@@ -74,7 +75,7 @@ class CompiledModel(NamedTuple):
 
 
 def _transition_matrices(problem: SspProblem, states: list[int]) -> CompiledModel:
-    """Compile `states` (closed under successors) through the per-pair API.
+    """Compile the records of `states` (closed under successors).
     Raises DeadEndError for a non-goal state without actions.
     """
     n = len(states)
@@ -89,12 +90,12 @@ def _transition_matrices(problem: SspProblem, states: list[int]) -> CompiledMode
         if problem.is_goal(s):
             goal_rows.append(i)
             continue
-        acts = problem.actions(s)
-        if not acts:
+        rec = problem.record(s)
+        if not rec[0]:
             raise DeadEndError(f"state {s} has no applicable action")
-        for a in acts:
-            cost[i, a] = problem.cost(s, a)
-            for s2, p in problem.transition(s, a):
+        for a, c, dist in zip(*rec):
+            cost[i, a] = c
+            for s2, p in dist:
                 rows[a].append(i)
                 cols[a].append(index[s2])
                 data[a].append(p)
@@ -328,10 +329,8 @@ def solve_deterministic(
 
     Returns a min-cost path policy; values along the path hold the
     remaining cost to the goal. Raises DeadEndError when no goal is
-    reachable and ModelError (via the transition check) on stochastic input.
+    reachable and ModelError on stochastic input.
     """
-    from .mdp import ModelError
-
     root = problem.start if start is None else start
     t0 = time.perf_counter()
     h = heuristic or (lambda s: 0.0)

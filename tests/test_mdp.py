@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from test_solvers import random_proper_ssp
 
 from prmplan import (
+    FULL_MODEL,
     MOST_LIKELY,
     DeadEndError,
     ModelError,
@@ -16,12 +17,14 @@ from prmplan import (
     SolverConfig,
     SspProblem,
     TableSelector,
+    UniformSelector,
     ValueTable,
     bellman_backup,
     build_reduced_model,
     compute_hmin,
     make_distribution,
     reachable_states,
+    select_outcomes,
     solve_value_iteration,
     tabular_problem,
     validate_problem,
@@ -208,19 +211,39 @@ class TestBackupKernel:
                 self.assert_matches_reference(problem, skewed, states)
 
 
+def expected_record(problem, s):
+    """The record of s rebuilt from the base's raw domain callbacks and, on
+    a reduced model, cut by the selector: a distribution kept whole stays
+    as it is, a cut one is renormalized."""
+    base = getattr(problem, "base", problem)
+    acts = tuple(sorted(base._actions_fn(s)))
+    dists = []
+    for a in acts:
+        dist = make_distribution(base._transition_fn(s, a))
+        if problem is not base:
+            kept = select_outcomes(problem.selector.principle(s, a), dist)
+            dist = dist if kept is dist else make_distribution(kept)
+        dists.append(dist)
+    return acts, tuple(base._cost_fn(s, a) for a in acts), tuple(dists)
+
+
 class TestStateRecord:
     def test_equals_per_pair_api(self, domain_models):
         for label, base, selectors in domain_models:
             for name, problem in model_variants(base, selectors):
                 for s in reachable_states(base):
-                    record = problem.record(s)
-                    acts = problem.actions(s)
-                    expected = (
-                        acts,
-                        tuple(problem.cost(s, a) for a in acts),
-                        tuple(problem.transition(s, a) for a in acts),
-                    )
-                    assert record == expected, f"{label}/{name} state {s}"
+                    expected = expected_record(problem, s)
+                    assert problem.record(s) == expected, f"{label}/{name} state {s}"
+                    for a, c, dist in zip(*expected):
+                        assert problem.cost(s, a) == c
+                        assert problem.transition(s, a) == dist
+
+    def test_full_reduction_shares_base_distributions(self, domain_models):
+        for label, base, _ in domain_models:
+            full = build_reduced_model(base, UniformSelector(FULL_MODEL))
+            for s in reachable_states(base):
+                for mine, theirs in zip(full.record(s)[2], base.record(s)[2]):
+                    assert mine is theirs, f"{label} state {s}"
 
     def test_selector_error_leaves_no_partial_record(self, risky_fork):
         problem, _ = risky_fork
@@ -300,6 +323,27 @@ class TestValidateProblem:
         )
         violations = validate_problem(problem)
         assert any("s=0" in v and "mass" in v for v in violations)
+
+    @staticmethod
+    def goal_with_half_mass():
+        """s0 -> goal(1), whose self-loop carries only half the mass."""
+        return SspProblem(
+            n_states=2,
+            n_actions=1,
+            start=0,
+            goals={1},
+            actions_fn=lambda s: [0],
+            transition_fn=lambda s, a: [(1, 0.5)] if s == 1 else [(1, 1.0)],
+            cost_fn=lambda s, a: 0.0 if s == 1 else 1.0,
+        )
+
+    def test_malformed_goal_distribution_reported(self):
+        violations = validate_problem(self.goal_with_half_mass())
+        assert any("s=1" in v and "mass" in v for v in violations)
+
+    def test_violation_names_the_pair_once(self):
+        (violation,) = validate_problem(self.goal_with_half_mass())
+        assert violation.count("(s=1, a=0)") == 1, violation
 
     def test_trap_state_reported(self):
         problem = tabular_problem(

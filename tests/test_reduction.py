@@ -123,11 +123,13 @@ class TestBuildReducedModel:
         assert reduced.cost(0, 0) == problem.cost(0, 0)
 
     def test_table_selector_missing_pair(self, risky_fork):
+        # The selector is asked for every pair of a state at once, so the
+        # missing (0, 1) fails both pairs of state 0.
         problem, _ = risky_fork
         reduced = build_reduced_model(problem, TableSelector({(0, 0): MOST_LIKELY}))
-        assert reduced.transition(0, 0) == ((1, 1.0),)
-        with pytest.raises(SelectorError, match=r"s=0, a=1"):
-            reduced.transition(0, 1)
+        for a in (0, 1):
+            with pytest.raises(SelectorError, match=r"s=0, a=1"):
+                reduced.transition(0, a)
 
     def test_pair_level_full_keeps_risky_outcome(self, risky_fork):
         # FullModel only on the pair leading to the risky state, MLOD on the
