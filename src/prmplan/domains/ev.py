@@ -28,12 +28,6 @@ N_PRICE = 2
 MAX_RATE = 3
 E_UNANNOUNCED = 3
 
-RISK_FEATURES = (
-    "time_remaining",
-    "is_peak_hour",
-    "sufficient_charge_for_discharge",
-)
-
 
 @dataclass(frozen=True)
 class EvScenario:
@@ -194,8 +188,6 @@ def build_ev(scenario: EvScenario) -> tuple[SspProblem, RiskPredicate]:
         return merged
 
     def applicable(state) -> list[int]:
-        if state == DONE:
-            return [IDLE]
         if state == VIOLATION:
             return [SETTLE]
         l = state[1]
@@ -232,40 +224,31 @@ def build_ev(scenario: EvScenario) -> tuple[SspProblem, RiskPredicate]:
         index[DONE] = done_id
         states.append(DONE)
 
-    def actions_fn(s: int):
-        return applicable(states[s])
-
-    def transition_fn(s: int, a: int):
+    def expand_fn(s: int):
         state = states[s]
         if state == DONE:
-            return [(s, 1.0)]
+            return [(IDLE, 0.0, [(s, 1.0)])]
         if state == VIOLATION:
-            return [(done_id, 1.0)]
-        return [(index[succ], prob) for succ, prob in successors(state, a).items()]
-
-    def cost_fn(s: int, a: int) -> float:
-        state = states[s]
-        if state == DONE:
-            return 0.0
-        if state == VIOLATION:
-            return scenario.penalty
-        l, t, d, p, _ = state[1:]
-        if a == IDLE:
-            reward = 0.0
-        elif a <= 3:
-            reward = -scenario.buy_price[t][d][p] * a
-        else:
-            reward = scenario.sell_price[t][d][p] * (a - 3) * (1.0 - scenario.inefficiency)
-        return r_max - reward
+            return [(SETTLE, scenario.penalty, [(done_id, 1.0)])]
+        t, d, p = state[2:5]
+        entries = []
+        for a in applicable(state):
+            if a == IDLE:
+                reward = 0.0
+            elif a <= 3:
+                reward = -scenario.buy_price[t][d][p] * a
+            else:
+                reward = scenario.sell_price[t][d][p] * (a - 3) * (1.0 - scenario.inefficiency)
+            outcomes = [(index[succ], prob) for succ, prob in successors(state, a).items()]
+            entries.append((a, r_max - reward, outcomes))
+        return entries
 
     problem = SspProblem(
         n_states=len(states),
         n_actions=8,
         start=0,
         goals={done_id},
-        actions_fn=actions_fn,
-        transition_fn=transition_fn,
-        cost_fn=cost_fn,
+        expand_fn=expand_fn,
         name=scenario.name,
     )
     problem.states = states
@@ -279,11 +262,7 @@ def build_ev(scenario: EvScenario) -> tuple[SspProblem, RiskPredicate]:
         remaining = e if e != E_UNANNOUNCED else horizon - t
         return goal_charge - l > MAX_RATE * remaining
 
-    predicate = RiskPredicate(
-        evaluate=risky,
-        feature_names=RISK_FEATURES,
-        name=f"{scenario.name}-goal-unreachable",
-    )
+    predicate = RiskPredicate(evaluate=risky, name=f"{scenario.name}-goal-unreachable")
     return problem, predicate
 
 

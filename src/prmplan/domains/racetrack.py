@@ -24,13 +24,6 @@ class MapParseError(ValueError):
 
 ACTIONS = tuple((ax, ay) for ay in (-1, 0, 1) for ax in (-1, 0, 1))
 
-RISK_FEATURES = (
-    "successor_is_wall",
-    "successor_is_pothole",
-    "successor_is_goal",
-    "successor_moves_away_from_goal",
-)
-
 
 @dataclass(frozen=True)
 class TrackMap:
@@ -162,27 +155,20 @@ def build_racetrack(
                     if (succ[0], succ[1]) in track.goal_cells:
                         goal_ids.add(index[succ])
 
-    def actions_fn(s: int) -> range:
-        return range(len(ACTIONS))
-
-    def transition_fn(s: int, a: int):
+    def expand_fn(s: int):
         if s in goal_ids:
-            return [(s, 1.0)]
+            return [(a, 0.0, [(s, 1.0)]) for a in range(len(ACTIONS))]
         return [
-            (index[succ], p) for succ, p in successors(states[s], ACTIONS[a]).items()
+            (a, 1.0, [(index[succ], p) for succ, p in successors(states[s], action).items()])
+            for a, action in enumerate(ACTIONS)
         ]
-
-    def cost_fn(s: int, a: int) -> float:
-        return 0.0 if s in goal_ids else 1.0
 
     problem = SspProblem(
         n_states=len(states),
         n_actions=len(ACTIONS),
         start=0,
         goals=goal_ids,
-        actions_fn=actions_fn,
-        transition_fn=transition_fn,
-        cost_fn=cost_fn,
+        expand_fn=expand_fn,
         name=name,
     )
     problem.states = states  # id -> (x, y, vx, vy), for debugging and predicates
@@ -190,11 +176,7 @@ def build_racetrack(
     pothole_ids = frozenset(
         i for i, st in enumerate(states) if (st[0], st[1]) in track.pothole_cells
     )
-    predicate = RiskPredicate(
-        evaluate=pothole_ids.__contains__,
-        feature_names=RISK_FEATURES,
-        name=f"{name}-potholes",
-    )
+    predicate = RiskPredicate(evaluate=pothole_ids.__contains__, name=f"{name}-potholes")
     return problem, predicate
 
 

@@ -20,11 +20,6 @@ TACK_COST = (1.0, 2.0, 3.0, 4.0)
 WIND_STAY = 0.4
 WIND_ROTATE = 0.3
 
-RISK_FEATURES = (
-    "wind_vs_intended_direction",
-    "successor_moves_away_from_goal",
-)
-
 
 def _angular_diff(a: int, b: int) -> int:
     d = (a - b) % 8
@@ -74,41 +69,30 @@ def build_sailing(
                     if (succ[0], succ[1]) == goal_xy:
                         goal_ids.add(index[succ])
 
-    def actions_fn(s: int):
+    def expand_fn(s: int):
         if s in goal_ids:
-            return range(8)
+            return [(m, 0.0, [(s, 1.0)]) for m in range(8)]
         x, y, w = states[s]
-        return [
-            m
-            for m, (dx, dy) in enumerate(DIRECTIONS)
-            if _angular_diff(m, w) != 4 and on_grid(x + dx, y + dy)
-        ]
-
-    def transition_fn(s: int, a: int):
-        if s in goal_ids:
-            return [(s, 1.0)]
-        x, y, w = states[s]
-        dx, dy = DIRECTIONS[a]
-        nx, ny = x + dx, y + dy
-        return [
-            (index[(nx, ny, (w - 1) % 8)], WIND_ROTATE),
-            (index[(nx, ny, w)], WIND_STAY),
-            (index[(nx, ny, (w + 1) % 8)], WIND_ROTATE),
-        ]
-
-    def cost_fn(s: int, a: int) -> float:
-        if s in goal_ids:
-            return 0.0
-        return TACK_COST[_angular_diff(a, states[s][2])]
+        entries = []
+        for m, (dx, dy) in enumerate(DIRECTIONS):
+            nx, ny = x + dx, y + dy
+            diff = _angular_diff(m, w)
+            if diff == 4 or not on_grid(nx, ny):
+                continue
+            outcomes = [
+                (index[(nx, ny, (w - 1) % 8)], WIND_ROTATE),
+                (index[(nx, ny, w)], WIND_STAY),
+                (index[(nx, ny, (w + 1) % 8)], WIND_ROTATE),
+            ]
+            entries.append((m, TACK_COST[diff], outcomes))
+        return entries
 
     problem = SspProblem(
         n_states=len(states),
         n_actions=8,
         start=0,
         goals=goal_ids,
-        actions_fn=actions_fn,
-        transition_fn=transition_fn,
-        cost_fn=cost_fn,
+        expand_fn=expand_fn,
         name=name,
     )
     problem.states = states
@@ -120,7 +104,5 @@ def build_sailing(
         wx, wy = DIRECTIONS[w]
         return not on_grid(x + wx, y + wy)
 
-    predicate = RiskPredicate(
-        evaluate=risky, feature_names=RISK_FEATURES, name=f"{name}-offgrid-wind"
-    )
+    predicate = RiskPredicate(evaluate=risky, name=f"{name}-offgrid-wind")
     return problem, predicate

@@ -1,11 +1,12 @@
 """Core stochastic shortest path model: problems, values, policies, backups.
 
 States and actions are dense integer ids within one problem instance.
-Each problem keeps one memo: the per-state record of every applicable
-action with its cost and distribution, built on first use from the domain
-callbacks. The Bellman kernel, LAO*, A*, the random-walk sampler and the
-model walkers read records; the per-pair API (`actions`, `cost`,
-`transition`) is a view of them.
+A domain supplies one callback, `expand_fn(s)`, that yields
+`(action, cost, outcomes)` for every applicable action of s, goals
+included. Each problem keeps one memo: the per-state record built from
+that callback on first use. The Bellman kernel, LAO*, A*, the random-walk
+sampler and the model walkers read records; the per-pair API (`actions`,
+`cost`, `transition`) is a view of them.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from collections.abc import Callable, Iterable, Mapping
+from operator import itemgetter
 
 PROB_TOL = 1e-9
 
@@ -63,9 +65,11 @@ def make_distribution(entries: Iterable[tuple[int, float]]) -> Distribution:
 class SspProblem:
     """Explicit-state SSP ⟨states, actions, transition, cost, start, goals⟩.
 
-    `record(s)` holds the applicable actions of s in id order, their costs
-    and their validated distributions, memoized per state; `actions`, `cost`
-    and `transition` read it. Immutable after construction (the memo fills
+    `expand_fn(s)` yields `(action, cost, outcomes)` for every applicable
+    action of s, in any order; a goal yields zero-cost self-loops.
+    `record(s)` holds those actions in id order, their costs and their
+    validated distributions, memoized per state; `actions`, `cost` and
+    `transition` read it. Immutable after construction (the memo fills
     idempotently), so one instance can back any number of concurrent solves
     and trials.
     """
@@ -76,9 +80,7 @@ class SspProblem:
         n_actions: int,
         start: int,
         goals: Iterable[int],
-        actions_fn: Callable[[int], Iterable[int]],
-        transition_fn: Callable[[int, int], Iterable[tuple[int, float]]],
-        cost_fn: Callable[[int, int], float],
+        expand_fn: Callable[[int], Iterable[tuple[int, float, Iterable[Outcome]]]],
         name: str = "",
     ):
         self.n_states = n_states
@@ -86,9 +88,7 @@ class SspProblem:
         self.start = start
         self.goals = frozenset(goals)
         self.name = name
-        self._actions_fn = actions_fn
-        self._transition_fn = transition_fn
-        self._cost_fn = cost_fn
+        self._expand_fn = expand_fn
         self._record_memo: dict[int, StateRecord] = {}
 
     def is_goal(self, s: int) -> bool:
@@ -104,16 +104,14 @@ class SspProblem:
         return rec
 
     def _build_record(self, s: int) -> StateRecord:
-        acts = tuple(sorted(self._actions_fn(s)))
-        costs = []
+        entries = sorted(self._expand_fn(s), key=itemgetter(0))
         dists = []
-        for a in acts:
-            costs.append(self._cost_fn(s, a))
+        for a, _, outcomes in entries:
             try:
-                dists.append(make_distribution(self._transition_fn(s, a)))
+                dists.append(make_distribution(outcomes))
             except ModelError as exc:
                 raise ModelError(f"at (s={s}, a={a}): {exc}") from None
-        return acts, tuple(costs), tuple(dists)
+        return tuple(e[0] for e in entries), tuple(e[1] for e in entries), tuple(dists)
 
     def actions(self, s: int) -> tuple[int, ...]:
         return self.record(s)[0]
@@ -160,29 +158,17 @@ def tabular_problem(
     for g in goals:
         hi_s = max(hi_s, g)
 
-    def actions_fn(s: int) -> list[int]:
+    def expand_fn(s: int) -> list[tuple[int, float, Iterable[Outcome]]]:
         if s in goals:
-            return [0]
-        return per_state.get(s, [])
-
-    def transition_fn(s: int, a: int) -> list[tuple[int, float]]:
-        if s in goals:
-            return [(s, 1.0)]
-        return list(transitions[(s, a)])
-
-    def cost_fn(s: int, a: int) -> float:
-        if s in goals:
-            return 0.0
-        return costs[(s, a)]
+            return [(0, 0.0, [(s, 1.0)])]
+        return [(a, costs[(s, a)], transitions[(s, a)]) for a in per_state.get(s, [])]
 
     return SspProblem(
         n_states=n_states if n_states is not None else hi_s + 1,
         n_actions=n_actions if n_actions is not None else hi_a + 1,
         start=start,
         goals=goals,
-        actions_fn=actions_fn,
-        transition_fn=transition_fn,
-        cost_fn=cost_fn,
+        expand_fn=expand_fn,
         name=name,
     )
 

@@ -36,18 +36,10 @@ from .solvers import (
 @dataclass
 class SimConfig:
     epsilon: float = 1e-3
-    step_cap: int | None = None  # default 10 x base.n_states
-    solver_max_iterations: int = 100_000
-    enumeration_cap: int = 200_000
     jobs: int = 1
 
     def solver_config(self, heuristic=None) -> SolverConfig:
-        return SolverConfig(
-            epsilon=self.epsilon,
-            max_iterations=self.solver_max_iterations,
-            heuristic=heuristic,
-            enumeration_cap=self.enumeration_cap,
-        )
+        return SolverConfig(epsilon=self.epsilon, heuristic=heuristic)
 
 
 @dataclass
@@ -65,30 +57,33 @@ class TrialStats:
 
 @dataclass
 class ModelResult:
-    """Aggregates over all trials of one named reduced model."""
+    """Aggregates over the trials of one named reduced model. The means
+    cover only the trials that did not fail, and are nan when none did."""
 
     name: str
     trials: list[TrialStats] = field(default_factory=list)
     failed: bool = False
     failure: str = ""
 
+    def _mean(self, stat: Callable[[TrialStats], float]) -> float:
+        done = [stat(t) for t in self.trials if not t.failure]
+        return float(np.mean(done)) if done else math.nan
+
     @property
     def mean_nse(self) -> float:
-        return float(np.mean([t.nse_hits for t in self.trials])) if self.trials else 0.0
+        return self._mean(lambda t: t.nse_hits)
 
     @property
     def mean_cost(self) -> float:
-        return float(np.mean([t.total_cost for t in self.trials])) if self.trials else 0.0
+        return self._mean(lambda t: t.total_cost)
 
     @property
     def mean_replans(self) -> float:
-        return float(np.mean([t.replans for t in self.trials])) if self.trials else 0.0
+        return self._mean(lambda t: t.replans)
 
     @property
     def mean_time(self) -> float:
-        if not self.trials:
-            return 0.0
-        return float(np.mean([t.plan_time + t.replan_time for t in self.trials]))
+        return self._mean(lambda t: t.plan_time + t.replan_time)
 
     @property
     def goal_trials(self) -> int:
@@ -154,13 +149,12 @@ def run_trial(
 
     `initial` may carry a precomputed solve of the reduced model from s0
     (its solve_time is charged as the trial's plan time); replanning keeps
-    the trial's own value table warm across re-solves.
+    the trial's own value table warm across re-solves. The trial stops
+    after `step_cap` steps, by default 10 x base.n_states.
     """
     config = config or SimConfig()
     solver_cfg = config.solver_config(heuristic)
-    cap = step_cap if step_cap is not None else config.step_cap
-    if cap is None:
-        cap = 10 * base.n_states
+    cap = step_cap if step_cap is not None else 10 * base.n_states
     rng = np.random.default_rng(seed)
     stats = TrialStats(seed=seed)
 
@@ -232,7 +226,6 @@ def run_experiment(
     trials: int = 100,
     seed: int = 0,
     config: SimConfig | None = None,
-    heuristic: Callable[[int], float] | None = None,
 ) -> ExperimentReport:
     """Run the full evaluation protocol over a list of named model selectors.
 
@@ -241,7 +234,8 @@ def run_experiment(
     aggregate. The full-model baseline solve time and V*(s0) anchor the
     %-time-savings and %-cost-increase columns. A model whose reduction or
     initial solve raises is marked failed; a trial that raises is recorded
-    with its `failure` set and reached_goal false.
+    with its `failure` set and reached_goal false, and left out of the
+    model's means.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -249,8 +243,7 @@ def run_experiment(
     # h_min and V*(s0) share one compilation of the base model, dropped
     # before the timed solves.
     compiled = compile_model(base)
-    if heuristic is None:
-        heuristic = compute_hmin(base, compiled=compiled)
+    heuristic = compute_hmin(base, compiled=compiled)
     optimal = optimal_start_value(base, config, compiled)
     del compiled
     solver_cfg = config.solver_config(heuristic)

@@ -142,9 +142,7 @@ class TestBellmanBackup:
             n_actions=1,
             start=0,
             goals={1},
-            actions_fn=lambda s: [],
-            transition_fn=lambda s, a: [],
-            cost_fn=lambda s, a: 1.0,
+            expand_fn=lambda s: [],
         )
         with pytest.raises(DeadEndError):
             bellman_backup(problem, ValueTable(), 0)
@@ -212,19 +210,20 @@ class TestBackupKernel:
 
 
 def expected_record(problem, s):
-    """The record of s rebuilt from the base's raw domain callbacks and, on
+    """The record of s rebuilt from the base's raw domain callback and, on
     a reduced model, cut by the selector: a distribution kept whole stays
     as it is, a cut one is renormalized."""
     base = getattr(problem, "base", problem)
-    acts = tuple(sorted(base._actions_fn(s)))
+    expanded = {a: (c, outcomes) for a, c, outcomes in base._expand_fn(s)}
+    acts = tuple(sorted(expanded))
     dists = []
     for a in acts:
-        dist = make_distribution(base._transition_fn(s, a))
+        dist = make_distribution(expanded[a][1])
         if problem is not base:
             kept = select_outcomes(problem.selector.principle(s, a), dist)
             dist = dist if kept is dist else make_distribution(kept)
         dists.append(dist)
-    return acts, tuple(base._cost_fn(s, a) for a in acts), tuple(dists)
+    return acts, tuple(expanded[a][0] for a in acts), tuple(dists)
 
 
 class TestStateRecord:
@@ -237,6 +236,15 @@ class TestStateRecord:
                     for a, c, dist in zip(*expected):
                         assert problem.cost(s, a) == c
                         assert problem.transition(s, a) == dist
+
+    def test_actions_in_id_order(self):
+        problem = tabular_problem(
+            transitions={(0, 1): [(1, 1.0)], (0, 0): [(1, 0.5), (0, 0.5)]},
+            costs={(0, 1): 2.0, (0, 0): 1.0},
+            start=0,
+            goals={1},
+        )
+        assert problem.record(0) == ((0, 1), (1.0, 2.0), (((0, 0.5), (1, 0.5)), ((1, 1.0),)))
 
     def test_full_reduction_shares_base_distributions(self, domain_models):
         for label, base, _ in domain_models:
@@ -260,9 +268,7 @@ class TestStateRecord:
             n_actions=2,
             start=0,
             goals={1},
-            actions_fn=lambda s: [0, 1],
-            transition_fn=lambda s, a: [(1, 1.0)] if a == 0 else [(1, 0.5)],
-            cost_fn=lambda s, a: 1.0,
+            expand_fn=lambda s: [(0, 1.0, [(1, 1.0)]), (1, 1.0, [(1, 0.5)])],
         )
         for _ in range(2):
             with pytest.raises(ModelError, match=r"s=0, a=1"):
@@ -317,9 +323,7 @@ class TestValidateProblem:
             n_actions=1,
             start=0,
             goals={1},
-            actions_fn=lambda s: [0],
-            transition_fn=lambda s, a: [(1, 1.0)] if s == 1 else [(1, 0.9)],
-            cost_fn=lambda s, a: 0.0 if s == 1 else 1.0,
+            expand_fn=lambda s: [(0, 0.0, [(1, 1.0)])] if s == 1 else [(0, 1.0, [(1, 0.9)])],
         )
         violations = validate_problem(problem)
         assert any("s=0" in v and "mass" in v for v in violations)
@@ -332,9 +336,7 @@ class TestValidateProblem:
             n_actions=1,
             start=0,
             goals={1},
-            actions_fn=lambda s: [0],
-            transition_fn=lambda s, a: [(1, 0.5)] if s == 1 else [(1, 1.0)],
-            cost_fn=lambda s, a: 0.0 if s == 1 else 1.0,
+            expand_fn=lambda s: [(0, 0.0, [(1, 0.5)])] if s == 1 else [(0, 1.0, [(1, 1.0)])],
         )
 
     def test_malformed_goal_distribution_reported(self):

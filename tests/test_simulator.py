@@ -7,6 +7,7 @@ import pytest
 from prmplan import (
     FULL_MODEL,
     MOST_LIKELY,
+    ModelResult,
     ModelSelector,
     RiskPredicate,
     SelectorError,
@@ -207,6 +208,9 @@ class TestRunExperiment:
         assert all(not t.reached_goal for t in failed)
         assert gap.goal_trials == 50 - len(failed)
         assert full.goal_trials == 50
+        done = [t.total_cost for t in gap.trials if not t.failure]
+        assert gap.mean_cost == pytest.approx(sum(done) / len(done))
+        assert math.isnan(ModelResult("gap", failed).mean_cost)
 
     def test_pct_columns_nan_on_zero_denominators(self):
         problem = tabular_problem(transitions={}, costs={}, start=0, goals={0})
