@@ -28,8 +28,10 @@ from .reduction import (
     select_outcomes,
 )
 from .risk import (
+    PairTable,
     RiskPredicate,
     RiskProfile,
+    build_pair_table,
     estimate_risk_profile,
     exact_risk_reachability,
     nse_set,

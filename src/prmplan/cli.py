@@ -51,6 +51,13 @@ AGGREGATE_FIELDS = (
 )
 
 
+def _at_least_one(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _add_instance_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--domain",
@@ -71,9 +78,11 @@ def _add_instance_args(sub: argparse.ArgumentParser) -> None:
         help="risk reachability threshold for the rm01 selector",
     )
     sub.add_argument(
-        "--samples", type=int, default=30, help="random walks per state (rm01)"
+        "--samples", type=_at_least_one, default=30, help="random walks per state (rm01)"
     )
-    sub.add_argument("--depth", type=int, default=4, help="random walk depth (rm01)")
+    sub.add_argument(
+        "--depth", type=_at_least_one, default=4, help="random walk depth (rm01)"
+    )
     sub.add_argument("--seed", type=int, default=0, help="master random seed")
 
 

@@ -4,9 +4,9 @@ States and actions are dense integer ids within one problem instance.
 A domain supplies one callback, `expand_fn(s)`, that yields
 `(action, cost, outcomes)` for every applicable action of s, goals
 included. Each problem keeps one memo: the per-state record built from
-that callback on first use. The Bellman kernel, LAO*, A*, the random-walk
-sampler and the model walkers read records; the per-pair API (`actions`,
-`cost`, `transition`) is a view of them.
+that callback on first use. The Bellman kernel, LAO*, A* and the model
+walkers read records, and the risk walker's pair table is flattened from
+them; the per-pair API (`actions`, `cost`, `transition`) is a view of them.
 """
 
 from __future__ import annotations

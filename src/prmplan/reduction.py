@@ -130,7 +130,7 @@ class ZeroOneSelector(ModelSelector):
     A pair gets the full model when the state's estimated reachability to
     risk meets the threshold, or when any of the pair's full-model outcomes
     is itself a risky state (the one-step guard covering transitions that
-    lead directly into risk).
+    lead directly into risk, read from the profile's risky mask).
     """
 
     def __init__(self, risk_profile: "RiskProfile", threshold: float):
@@ -142,9 +142,7 @@ class ZeroOneSelector(ModelSelector):
     def principle(self, s: int, a: int) -> OutcomeSelectionPrinciple:
         if self.risk_profile.reach(s) >= self.threshold:
             return FULL_MODEL
-        base = self.risk_profile.problem
-        predicate = self.risk_profile.predicate
-        if any(predicate(s2) for s2, _ in base.transition(s, a)):
+        if self.risk_profile.leads_to_risk(s, a):
             return FULL_MODEL
         return MOST_LIKELY
 

@@ -1,20 +1,25 @@
 """Risk predicates, NSE sets, and reachability-to-risk estimation.
 
-Reachability to risky states is estimated per state by depth-limited
-uniform-random-action walks; an exact enumeration mode backs the estimator
-up on desk-scale instances. The resulting profile feeds the 0/1 reduced
-model selector.
+Reachability to risky states is estimated per state as the share of
+depth-limited walks, each choosing its action uniformly at random, that
+meet a risky state. A profile flattens the records reachable from s0 once
+into a pair table of typed buffers (pair and outcome offsets, successor
+positions, shifted cumulative probabilities, a risky mask) and advances
+each state's walks in lockstep over it. The exact enumeration oracle walks
+the records instead. The resulting profile feeds the 0/1 reduced model
+selector.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
-from typing import TextIO
+from typing import NamedTuple, TextIO
 
 import numpy as np
 
-from .mdp import SspProblem, reachable_states
+from .mdp import DeadEndError, SspProblem, reachable_states
 from .reduction import ReducedModel
 
 
@@ -34,43 +39,98 @@ class RiskPredicate:
         return bool(self.evaluate(s))
 
 
-def sample_walks(
-    problem: SspProblem,
-    from_state: int,
-    n: int,
-    depth: int,
-    seed,
-) -> list[list[int]]:
-    """n depth-limited random walks from one state, fully seed-determined.
+class PairTable(NamedTuple):
+    """The records of every state reachable from s0, goals included, in
+    flat typed buffers for the lockstep walker.
 
-    Each trajectory lists the visited states starting with from_state; at
-    every step an applicable action is drawn uniformly and a successor
-    sampled from the true transition function. Walks stop early at goals.
+    Positions index `states` (sorted ids). The pairs of position i are
+    `first_pair[i]:first_pair[i + 1]`, in record order; the outcomes of
+    pair j are `first_outcome[j]:first_outcome[j + 1]`, with successor
+    positions `succ` and cumulative probabilities shifted by the pair id in
+    `cum`, so the whole of `cum` is sorted and pair j's last entry is
+    exactly j + 1. `risky` is the predicate at each position.
     """
+
+    states: np.ndarray
+    first_pair: np.ndarray
+    first_outcome: np.ndarray
+    succ: np.ndarray
+    cum: np.ndarray
+    risky: np.ndarray
+
+    def position(self, s: int) -> int:
+        i = int(np.searchsorted(self.states, s))
+        if i == len(self.states) or self.states[i] != s:
+            raise KeyError(f"state {s} is not reachable from s0")
+        return i
+
+    def draw(self, pair: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Outcome indices of the given pairs, by inverse CDF at u in [0, 1)."""
+        j = np.searchsorted(self.cum, pair + u, side="right")
+        # pair + u can round up to pair + 1, one past the pair's last outcome.
+        return np.minimum(j, self.first_outcome[pair + 1] - 1)
+
+
+def build_pair_table(problem: SspProblem, predicate: RiskPredicate) -> PairTable:
+    """Flatten the records reachable from s0, calling the predicate once per
+    state. A goal's zero-cost self-loop makes it absorbing. Raises
+    DeadEndError for a non-goal state without actions."""
+    states = np.array(sorted(reachable_states(problem)), dtype=np.int64)
+    first_pair = array("q", [0])
+    first_outcome = array("q", [0])
+    succ = array("q")
+    cum = array("d")
+    for s in states.tolist():
+        dists = problem.record(s)[2]
+        if not dists:
+            raise DeadEndError(f"state {s} has no applicable action")
+        for dist in dists:
+            pair = len(first_outcome) - 1
+            acc = 0.0
+            for s2, p in dist:
+                acc += p
+                succ.append(s2)
+                cum.append(pair + acc)
+            cum[-1] = pair + 1.0
+            first_outcome.append(len(succ))
+        first_pair.append(len(first_outcome) - 1)
+    ids = np.frombuffer(succ, dtype=np.int64)
+    return PairTable(
+        states=states,
+        first_pair=np.frombuffer(first_pair, dtype=np.int64),
+        first_outcome=np.frombuffer(first_outcome, dtype=np.int64),
+        succ=np.searchsorted(states, ids),
+        cum=np.frombuffer(cum, dtype=np.float64),
+        risky=np.fromiter(map(predicate, states.tolist()), dtype=bool, count=len(states)),
+    )
+
+
+def _walk_positions(table: PairTable, start: int, n: int, depth: int, seed) -> np.ndarray:
+    """(n, depth + 1) table positions of n lockstep walks from position start."""
     if n < 1 or depth < 1:
         raise ValueError("sample_walks needs n >= 1 and depth >= 1")
     rng = np.random.default_rng(seed)
-    walks: list[list[int]] = []
-    for _ in range(n):
-        s = from_state
-        trajectory = [s]
-        for _ in range(depth):
-            if problem.is_goal(s):
-                break
-            acts, _, dists = problem.record(s)
-            dist = dists[rng.integers(len(acts))]
-            u = rng.random()
-            acc = 0.0
-            s2 = dist[-1][0]
-            for cand, p in dist:
-                acc += p
-                if u < acc:
-                    s2 = cand
-                    break
-            trajectory.append(s2)
-            s = s2
-        walks.append(trajectory)
+    walks = np.empty((n, depth + 1), dtype=np.int64)
+    here = walks[:, 0] = start
+    for t in range(1, depth + 1):
+        first = table.first_pair[here]
+        k = table.first_pair[here + 1] - first
+        pair = first + (rng.random(n) * k).astype(np.int64)
+        here = walks[:, t] = table.succ[table.draw(pair, rng.random(n))]
     return walks
+
+
+def sample_walks(
+    table: PairTable, from_state: int, n: int, depth: int, seed
+) -> np.ndarray:
+    """n depth-limited random walks from one state, fully seed-determined.
+
+    Returns an (n, depth + 1) array of state ids whose first column is
+    from_state. The walks advance in lockstep: each step draws one action
+    per walk uniformly among the applicable ones, as floor(u * k), and one
+    successor per walk by inverse CDF over the table. Goals absorb.
+    """
+    return table.states[_walk_positions(table, table.position(from_state), n, depth, seed)]
 
 
 @dataclass
@@ -78,6 +138,8 @@ class RiskProfile:
     """Per-state estimates of the probability that a depth-limited walk
     encounters a risky state. Lazy: reach(s) is sampled on first query with
     a seed derived from (seed, s), so results are independent of query order.
+    The first estimate builds the pair table (and risky mask) over the
+    states reachable from s0; reach(s) raises KeyError outside it.
     """
 
     problem: SspProblem
@@ -86,22 +148,40 @@ class RiskProfile:
     depth: int = 4
     seed: int = 0
     _reach: dict[int, float] = field(default_factory=dict, repr=False)
+    _table: PairTable | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.samples < 1 or self.depth < 1:
+            raise ValueError(
+                f"risk profile needs samples >= 1 and depth >= 1, "
+                f"got {self.samples} and {self.depth}"
+            )
+
+    @property
+    def table(self) -> PairTable:
+        if self._table is None:
+            self._table = build_pair_table(self.problem, self.predicate)
+        return self._table
 
     def reach(self, s: int) -> float:
         value = self._reach.get(s)
         if value is None:
-            if self.predicate(s):
+            table = self.table
+            i = table.position(s)
+            if table.risky[i]:
                 value = 1.0
             else:
-                walks = sample_walks(
-                    self.problem, s, self.samples, self.depth, [self.seed, s]
-                )
-                hits = sum(
-                    1 for w in walks if any(self.predicate(x) for x in w)
-                )
-                value = hits / self.samples
+                walks = _walk_positions(table, i, self.samples, self.depth, [self.seed, s])
+                value = int(table.risky[walks].any(axis=1).sum()) / self.samples
             self._reach[s] = value
         return value
+
+    def leads_to_risk(self, s: int, a: int) -> bool:
+        """True when some outcome of (s, a) is risky, read from the mask."""
+        table = self.table
+        pair = table.first_pair[table.position(s)] + self.problem.actions(s).index(a)
+        outcomes = table.succ[table.first_outcome[pair]:table.first_outcome[pair + 1]]
+        return bool(table.risky[outcomes].any())
 
     def materialize(self, states: Iterable[int] | None = None) -> None:
         for s in states if states is not None else reachable_states(self.problem):

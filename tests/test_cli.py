@@ -148,3 +148,23 @@ class TestExperiment:
             ]
         )
         assert code == 2
+
+    @pytest.mark.parametrize("flag,value", [("--samples", "0"), ("--depth", "-1")])
+    def test_walk_settings_below_one_exit_2(self, tmp_path, capsys, flag, value):
+        with pytest.raises(SystemExit) as err:
+            main(
+                [
+                    "experiment",
+                    "--domain",
+                    "sailing",
+                    "--instance",
+                    "6M",
+                    flag,
+                    value,
+                    "--out",
+                    str(tmp_path / "x"),
+                ]
+            )
+        assert err.value.code == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()

@@ -196,6 +196,30 @@ class TestZeroOneSelector:
                 full_n = len(problem.transition(s, a))
                 assert len(reduced.transition(s, a)) in (1, full_n)
 
+    @pytest.mark.parametrize(
+        "instance", [("racetrack", "ring-3"), ("sailing", "8M"), ("ev", "gen-1")], ids="-".join
+    )
+    def test_one_step_guard_matches_predicate(self, instance):
+        # The guard reads the profile's risky mask; every rm01 assignment
+        # equals the one computed by calling the predicate on each outcome.
+        from prmplan.domains import build_instance
+
+        problem, predicate = build_instance(*instance)
+        profile = RiskProfile(problem, predicate, seed=1)
+        selector = make_01rm_selector(profile, 0.25)
+        guarded = 0
+        for s in reachable_states(problem):
+            if problem.is_goal(s):
+                continue
+            for a in problem.actions(s):
+                one_step = any(predicate(s2) for s2, _ in problem.transition(s, a))
+                guarded += one_step and profile.reach(s) < 0.25
+                expected = (
+                    FULL_MODEL if profile.reach(s) >= 0.25 or one_step else MOST_LIKELY
+                )
+                assert selector.principle(s, a) == expected, (s, a)
+        assert guarded > 0
+
     def test_summary_counts_assignments(self, risky_fork):
         problem, predicate = risky_fork
         profile = RiskProfile(problem, predicate)
