@@ -17,6 +17,8 @@ from collections.abc import Callable, Iterable, Mapping
 from operator import itemgetter
 
 PROB_TOL = 1e-9
+# Relative Q-value gap below which bellman_backup keeps the lower action id.
+TIE_TOL = 1e-12
 
 Outcome = tuple[int, float]
 Distribution = tuple[Outcome, ...]
@@ -214,8 +216,9 @@ def bellman_backup(problem: SspProblem, values: ValueTable, s: int) -> tuple[flo
 
     Reads the state's record and the table's dict directly; an unseen
     successor gets the table's heuristic value, stored as on a table read.
-    Ties break toward the lowest action id. Raises DeadEndError when the
-    state has no applicable action (improper model).
+    Ties within a relative TIE_TOL break toward the lowest action id, so
+    that rounding in the order of backups does not pick the action. Raises
+    DeadEndError when the state has no applicable action (improper model).
     """
     acts, costs, dists = problem.record(s)
     if not acts:
@@ -224,6 +227,9 @@ def bellman_backup(problem: SspProblem, values: ValueTable, s: int) -> tuple[flo
     h = values.heuristic
     best_q = math.inf
     best_a = acts[0]
+    # A later action must beat best_q by the tolerance. While best_q is inf
+    # (no finite Q yet) any finite Q does: inf - TIE_TOL * inf is nan.
+    bound = math.inf
     for a, q, dist in zip(acts, costs, dists):
         for s2, p in dist:
             try:
@@ -231,9 +237,10 @@ def bellman_backup(problem: SspProblem, values: ValueTable, s: int) -> tuple[flo
             except KeyError:
                 v = known[s2] = float(h(s2)) if h is not None else 0.0
             q += p * v
-        if q < best_q:
+        if q < bound:
             best_q = q
             best_a = a
+            bound = q - TIE_TOL * abs(q)
     return best_q, best_a
 
 

@@ -37,16 +37,24 @@ REDUCTIONS = ("mlod", "m02", "rm01")
 
 def reference_backup(problem, values, s):
     """The Bellman backup by plain loops over the per-pair API and
-    ValueTable reads: costs first, then outcomes in distribution order."""
+    ValueTable reads: costs first, then outcomes in distribution order. The
+    first action's Q is taken as is; a later action replaces the best only
+    when its Q is lower by more than a relative 1e-12 (any finite Q beats
+    an infinite best)."""
     acts = problem.actions(s)
     if not acts:
         raise DeadEndError(f"state {s} has no applicable action")
-    best_q, best_a = math.inf, acts[0]
+    best_q = best_a = None
     for a in acts:
         q = problem.cost(s, a)
         for s2, p in problem.transition(s, a):
             q += p * values[s2]
-        if q < best_q:
+        if best_a is None:
+            best_q, best_a = q, a
+        elif best_q == math.inf:
+            if q < best_q:
+                best_q, best_a = q, a
+        elif q < best_q - 1e-12 * abs(best_q):
             best_q, best_a = q, a
     return best_q, best_a
 
@@ -164,6 +172,28 @@ class TestBellmanBackup:
 class TestBackupKernel:
     """bellman_backup reads per-state records and the table's dict; it must
     equal the per-pair reference bit for bit, heuristic fills included."""
+
+    @staticmethod
+    def two_action_state(cost0, cost1, trap_value=0.0):
+        # Both actions of state 0 reach the goal; action 0 may also pass
+        # through a trap state 1, whose value the heuristic sets.
+        problem = tabular_problem(
+            transitions={(0, 0): [(1, 0.5), (2, 0.5)], (0, 1): [(2, 1.0)], (1, 0): [(1, 1.0)]},
+            costs={(0, 0): cost0, (0, 1): cost1, (1, 0): 1.0},
+            start=0,
+            goals={2},
+        )
+        return bellman_backup(problem, ValueTable(lambda s: trap_value if s == 1 else 0.0), 0)
+
+    def test_near_ties_break_toward_lowest_action(self):
+        assert self.two_action_state(1.0 + 7e-15, 1.0) == (1.0 + 7e-15, 0)
+        assert self.two_action_state(1.0, 1.0 + 7e-15) == (1.0, 0)
+        assert self.two_action_state(1.0 + 1e-9, 1.0) == (1.0, 1)
+
+    def test_finite_q_beats_infinite_first_q(self):
+        assert self.two_action_state(1.0, 5.0, trap_value=math.inf) == (5.0, 1)
+        q, a = self.two_action_state(1.0, math.inf, trap_value=math.inf)
+        assert (q, a) == (math.inf, 0)
 
     @staticmethod
     def assert_matches_reference(problem, heuristic, states, sweeps=2):
