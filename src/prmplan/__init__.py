@@ -46,7 +46,6 @@ from .simulator import (
     run_trial,
 )
 from .solvers import (
-    EnumerationCapError,
     NonconvergenceError,
     Solution,
     SolverConfig,

@@ -152,6 +152,7 @@ def cmd_solve(args) -> int:
     print(f"model      {args.model}")
     print(f"V(s0)      {solution.start_value:.6f}")
     print(f"expanded   {solution.expanded_states}")
+    print(f"backups    {solution.backups}")
     print(f"solve_time {solution.solve_time:.3f}s")
     if args.oracle:
         oracle = solve_value_iteration(reduced, SolverConfig(epsilon=args.epsilon))

@@ -21,7 +21,6 @@ from .reduction import ModelSelector, ReducedModel, build_reduced_model
 from .risk import RiskPredicate
 from .solvers import (
     CompiledModel,
-    EnumerationCapError,
     NonconvergenceError,
     Solution,
     SolverConfig,
@@ -208,15 +207,11 @@ def optimal_start_value(
     config: SimConfig | None = None,
     compiled: CompiledModel | None = None,
 ) -> float:
-    """V*(s0) of the full model: VI on desk-scale instances, converged LAO*
-    (with the h_min heuristic) above the enumeration cap. `compiled`, when
-    given, is `compile_model(base)`, which is then not rebuilt."""
+    """V*(s0) of the full model by value iteration, the oracle that shares
+    no code with LAO*. `compiled`, when given, is `compile_model(base)`,
+    which is then not rebuilt."""
     config = config or SimConfig()
-    try:
-        return solve_value_iteration(base, config.solver_config(), compiled=compiled).start_value
-    except EnumerationCapError:
-        hmin = compute_hmin(base, compiled=compiled)
-        return solve_lao_star(base, config=config.solver_config(hmin)).start_value
+    return solve_value_iteration(base, config.solver_config(), compiled=compiled).start_value
 
 
 def run_experiment(

@@ -2,7 +2,10 @@
 
 Every solver reads the problem's one memo, its per-state records: value
 iteration and h_min compile them to per-action sparse transition matrices,
-LAO* reads them through the Bellman kernel, and A* directly.
+LAO* reads them through the Bellman kernel, and A* directly. LAO* runs as
+ILAO*: each iteration is one depth-first pass over the greedy envelope that
+expands the tips it meets and backs its states up in postorder. Value
+iteration shares no code with it, so it stays an independent oracle.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -28,10 +31,6 @@ from .mdp import (
 )
 
 
-class EnumerationCapError(RuntimeError):
-    """The instance is too large for full-sweep enumeration."""
-
-
 class NonconvergenceError(RuntimeError):
     """Solver hit its iteration budget; carries the best solution so far."""
 
@@ -45,7 +44,6 @@ class SolverConfig:
     epsilon: float = 1e-3
     max_iterations: int = 100_000
     heuristic: Callable[[int], float] | None = None
-    enumeration_cap: int = 200_000
 
 
 @dataclass
@@ -56,6 +54,7 @@ class Solution:
     solve_time: float
     start: int
     converged: bool = True
+    backups: int = 0  # Bellman kernel calls (LAO*)
 
     @property
     def start_value(self) -> float:
@@ -121,21 +120,16 @@ def solve_value_iteration(
 
     The desk-scale oracle: vectorized sweeps over sparse per-action
     transition matrices until the sup-norm residual drops below epsilon.
-    Refuses instances above the enumeration cap. `compiled`, when given,
-    is `compile_model(problem, start)`, which is then not rebuilt.
+    `compiled`, when given, is `compile_model(problem, start)`, which is
+    then not rebuilt.
     """
     config = config or SolverConfig()
     root = problem.start if start is None else start
     t0 = time.perf_counter()
-    states = reachable_states(problem, root) if compiled is None else compiled.states
-    n = len(states)
-    if n > config.enumeration_cap:
-        raise EnumerationCapError(
-            f"{n} reachable states exceed enumeration cap {config.enumeration_cap}"
-        )
     if compiled is None:
-        compiled = _transition_matrices(problem, states)
-    _, cost, mats, goal_rows = compiled
+        compiled = compile_model(problem, root)
+    states, cost, mats, goal_rows = compiled
+    n = len(states)
     n_a = problem.n_actions
 
     v = np.zeros(n)
@@ -220,103 +214,105 @@ def solve_lao_star(
     config: SolverConfig | None = None,
     values: ValueTable | None = None,
 ) -> Solution:
-    """LAO*: expand the best partial solution graph, backing up until the
-    greedy envelope is tip-free and Bellman-residual-converged.
+    """ILAO* (Hansen & Zilberstein 2001): one depth-first pass per iteration.
+
+    Each pass walks the greedy envelope from start. A state met for the
+    first time is expanded: one backup fixes its greedy action, and the
+    pass goes on into that action's successors. Every non-goal state of the
+    pass is backed up in postorder. The solve has converged after a pass
+    that expands nothing, changes no greedy action and has a residual below
+    epsilon, so the bound holds on the returned policy's envelope.
+    `config.max_iterations` counts passes.
 
     An existing ValueTable may be passed in for warm-started replanning; it
     is updated in place. Improper inputs surface as NonconvergenceError
-    carrying the best greedy policy found (its values stop improving once
-    every greedy envelope without a goal has been expanded).
+    carrying the best greedy policy found: once the envelope is tip-free,
+    its residual stops halving when no goal is reachable along it.
     """
     config = config or SolverConfig()
     root = problem.start if start is None else start
     t0 = time.perf_counter()
     v = values if values is not None else ValueTable(config.heuristic)
-    expanded: set[int] = set()
+    goals = problem.goals
     greedy: dict[int, int] = {}
+    backups = 0
 
-    def build_graph() -> tuple[list[int], list[int]]:
+    def successors(s: int) -> Iterator[tuple[int, float]]:
+        """Enter s: expand it if it is new, then iterate the outcomes of its
+        greedy action."""
+        nonlocal backups
+        a = greedy.get(s)
+        if a is None:
+            v[s], a = bellman_backup(problem, v, s)
+            greedy[s] = a
+            backups += 1
+        acts, _, dists = problem.record(s)
+        return iter(dists[acts.index(a)])
+
+    def sweep() -> tuple[list[int], int, float, bool]:
+        """One pass: the postorder of the states it backed up, how many it
+        expanded, its max residual, and whether a greedy action changed."""
+        nonlocal backups
         order: list[int] = []
-        tips: list[int] = []
+        n_before = len(greedy)
+        residual = 0.0
+        changed = False
         seen = {root}
-        stack = [root]
+        stack = [] if root in goals else [(root, successors(root))]
         while stack:
-            s = stack.pop()
-            if problem.is_goal(s):
-                continue
-            if s not in expanded:
-                tips.append(s)
-                continue
-            order.append(s)
-            a = greedy.get(s)
-            if a is None:
-                val, a = bellman_backup(problem, v, s)
-                v[s] = val
-                greedy[s] = a
-            acts, _, dists = problem.record(s)
-            for s2, _ in dists[acts.index(a)]:
+            s, succ = stack[-1]
+            for s2, _ in succ:
                 if s2 not in seen:
                     seen.add(s2)
-                    stack.append(s2)
-        return order, tips
-
-    def dp(order: list[int], sweep_cap: int) -> float:
-        residual = math.inf
-        for _ in range(sweep_cap):
-            residual = 0.0
-            for s in reversed(order):
+                    if s2 not in goals:
+                        stack.append((s2, successors(s2)))
+                        break
+            else:
+                stack.pop()
                 val, a = bellman_backup(problem, v, s)
                 diff = abs(val - v[s])
                 if diff > residual:
                     residual = diff
+                if a != greedy[s]:
+                    changed = True
+                    greedy[s] = a
                 v[s] = val
-                greedy[s] = a
-            if residual < config.epsilon:
-                break
-        return residual
+                order.append(s)
+        backups += len(order)
+        return order, len(greedy) - n_before, residual, changed
 
     def snapshot(order: list[int], converged: bool) -> Solution:
-        policy = {s: greedy[s] for s in order if s in greedy}
+        policy = {s: greedy[s] for s in order}
         return Solution(
-            policy, v, len(expanded), time.perf_counter() - t0, root, converged
+            policy, v, len(greedy), time.perf_counter() - t0, root, converged, backups
         )
 
-    stall = 0
-    prev_residual = math.inf
+    order: list[int] = []
+    tip_free = stall = 0
+    block_residual = math.inf
     for _ in range(config.max_iterations):
-        order, tips = build_graph()
-        if tips:
-            stall = 0
-            prev_residual = math.inf
-            for s in tips:
-                expanded.add(s)
-                v[s]  # pin the heuristic value before the first backup
-            dp(order + tips, sweep_cap=5)
+        order, new, residual, changed = sweep()
+        if new:
+            tip_free = stall = 0
+            block_residual = math.inf
             continue
-        residual = dp(order, sweep_cap=200)
-        before = set(order)
-        order, tips = build_graph()
-        # Converged only when the residual bound applies to the final graph:
-        # dp may reroute greedy actions into states it never backed up.
-        if not tips and set(order) == before:
-            if residual < config.epsilon:
-                return snapshot(order, converged=True)
-            # Stable tip-free envelope that will not converge: values only
-            # keep growing when no goal is reachable along the greedy graph.
-            stall = stall + 1 if residual >= 0.5 * prev_residual else 0
-            prev_residual = residual
+        if residual < config.epsilon and not changed:
+            return snapshot(order, converged=True)
+        # A tip-free envelope that will not converge: values only keep
+        # growing when no goal is reachable along the greedy graph. It has
+        # stalled when its residual fails to halve over 5 blocks of passes.
+        tip_free += 1
+        if tip_free % 200 == 0:
+            stall = stall + 1 if residual >= 0.5 * block_residual else 0
+            block_residual = residual
             if stall >= 5:
                 raise NonconvergenceError(
                     "LAO* stalled: greedy envelope does not converge "
                     "(no proper policy in this model from the start state)",
                     snapshot(order, converged=False),
                 )
-        else:
-            stall = 0
-            prev_residual = math.inf
-    order, _ = build_graph()
     raise NonconvergenceError(
-        f"LAO* exceeded {config.max_iterations} iterations", snapshot(order, False)
+        f"LAO* exceeded {config.max_iterations} passes", snapshot(order, False)
     )
 
 

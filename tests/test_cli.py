@@ -44,6 +44,9 @@ class TestSolve:
         captured = capsys.readouterr()
         assert code == 0
         assert "V(s0)" in captured.out
+        fields = dict(line.split(None, 1) for line in captured.out.splitlines())
+        # LAO* backs up each state it expands at least once.
+        assert int(fields["backups"]) >= int(fields["expanded"]) > 0
 
     def test_oracle_cross_check(self, capsys):
         code = main(

@@ -1,5 +1,6 @@
 """Solvers: VI oracle, LAO*, h_min heuristic, and the deterministic A* path."""
 
+import argparse
 import math
 
 import numpy as np
@@ -7,10 +8,11 @@ import pytest
 
 from prmplan import (
     DeadEndError,
-    EnumerationCapError,
     ModelError,
     NonconvergenceError,
     SolverConfig,
+    bellman_backup,
+    build_reduced_model,
     compute_hmin,
     reachable_states,
     solve_deterministic,
@@ -20,6 +22,8 @@ from prmplan import (
 )
 
 EPS = 1e-3
+# Solver epsilon of the LAO* invariant tests.
+TIGHT_EPS = 1e-6
 
 
 def random_proper_ssp(seed: int, n_states: int = 12, n_actions: int = 3):
@@ -75,10 +79,6 @@ class TestValueIteration:
         solution = solve_value_iteration(chain3)
         assert solution.values[2] == 0.0
 
-    def test_enumeration_cap_refusal(self, chain3):
-        with pytest.raises(EnumerationCapError):
-            solve_value_iteration(chain3, SolverConfig(enumeration_cap=2))
-
     def test_policy_covers_non_goal_states(self, chain3):
         solution = solve_value_iteration(chain3)
         assert set(solution.policy) == {0, 1}
@@ -105,24 +105,121 @@ class TestLaoStar:
         lao = solve_lao_star(problem, config=config).start_value
         assert abs(lao - vi) <= 2 * EPS
 
-    def test_improper_model_raises_nonconvergence(self):
-        # No goal is reachable: LAO* must surface the failure with its
-        # best-so-far solution instead of spinning forever.
-        problem = tabular_problem(
+    @staticmethod
+    def improper_problem():
+        return tabular_problem(
             transitions={(0, 0): [(0, 0.5), (1, 0.5)], (1, 0): [(1, 1.0)]},
             costs={(0, 0): 1.0, (1, 0): 1.0},
             start=0,
             goals={2},
             n_states=3,
         )
+
+    def test_improper_model_raises_nonconvergence(self):
+        # No goal is reachable: LAO* must surface the failure with its
+        # best-so-far solution instead of spinning forever.
         with pytest.raises(NonconvergenceError) as err:
-            solve_lao_star(problem, config=SolverConfig(max_iterations=500))
+            solve_lao_star(self.improper_problem(), config=SolverConfig(max_iterations=500))
         assert err.value.solution.converged is False
+
+    def test_improper_model_stalls_under_default_config(self):
+        with pytest.raises(NonconvergenceError, match="stalled") as err:
+            solve_lao_star(self.improper_problem())
+        assert err.value.solution.policy == {0: 0, 1: 0}
+
+    def test_no_convergence_on_a_pass_that_changes_an_action(self):
+        # V(2) climbs to 2 by halving steps. On the first pass whose residual
+        # is below epsilon it passes h(1) = 1.95, and s0 switches to the
+        # never-expanded state 1, whose true value is 100. Stopping there
+        # would return a policy that is not closed, with V(s0) = 2.45.
+        problem = tabular_problem(
+            transitions={
+                (0, 0): [(2, 1.0)],
+                (0, 1): [(1, 1.0)],
+                (1, 0): [(3, 1.0)],
+                (2, 0): [(2, 0.5), (3, 0.5)],
+            },
+            costs={(0, 0): 0.5, (0, 1): 0.5, (1, 0): 100.0, (2, 0): 1.0},
+            start=0,
+            goals={3},
+        )
+        h = {0: 0.0, 1: 1.95, 2: 1.0, 3: 0.0}.__getitem__
+        solution = solve_lao_star(problem, config=SolverConfig(epsilon=0.05, heuristic=h))
+        assert solution.policy == {0: 0, 2: 0}
+        assert solution.start_value == pytest.approx(2.5, abs=0.1)
 
     def test_expands_lazily(self, small_sailing):
         problem, _ = small_sailing
         solution = solve_lao_star(problem)
         assert solution.expanded_states < len(reachable_states(problem))
+
+
+@pytest.fixture(scope="module")
+def invariant_models():
+    """(label, problem, h_min of its base): the random SSPs and the m02 and
+    rm01 reductions of sailing 8M and ring-3."""
+    from prmplan.cli import _make_selector
+    from prmplan.domains import build_instance
+
+    out = []
+    for seed in range(8):
+        problem = random_proper_ssp(seed)
+        out.append((f"random-{seed}", problem, compute_hmin(problem)))
+    args = argparse.Namespace(samples=30, depth=4, seed=0, threshold=0.25)
+    for domain, instance in (("sailing", "8M"), ("racetrack", "ring-3")):
+        base, predicate = build_instance(domain, instance)
+        hmin = compute_hmin(base)
+        for name in ("m02", "rm01"):
+            selector = _make_selector(name, base, predicate, args)
+            reduced = build_reduced_model(base, selector, name=name)
+            out.append((f"{domain}-{instance}-{name}", reduced, hmin))
+    return out
+
+
+class TestLaoStarInvariants:
+    """What a converged LAO* solve promises, at epsilon = TIGHT_EPS."""
+
+    def test_policy_closed_and_converged(self, invariant_models):
+        for label, problem, hmin in invariant_models:
+            solution = solve_lao_star(problem, config=SolverConfig(TIGHT_EPS, heuristic=hmin))
+            policy = solution.policy
+            seen, stack = {problem.start}, [problem.start]
+            while stack:
+                s = stack.pop()
+                if problem.is_goal(s):
+                    continue
+                assert s in policy, f"{label}: state {s} reachable under the policy has no action"
+                for s2, _ in problem.transition(s, policy[s]):
+                    if s2 not in seen:
+                        seen.add(s2)
+                        stack.append(s2)
+            values = solution.values.copy()
+            for s in policy:
+                best, _ = bellman_backup(problem, values, s)
+                residual = abs(best - solution.values[s])
+                assert residual < TIGHT_EPS, f"{label}: state {s} residual {residual:.2e}"
+                q = problem.cost(s, policy[s]) + sum(
+                    p * values[s2] for s2, p in problem.transition(s, policy[s])
+                )
+                assert q - best < 2 * TIGHT_EPS, f"{label}: state {s} action not greedy"
+
+    def test_warm_start_from_another_state(self, invariant_models):
+        # A replan start: a state off the s0 policy when there is one.
+        # Residual < epsilon does not bound the error against VI to
+        # 2*epsilon on the slowly-contracting random SSPs (up to 5e-6 at
+        # epsilon 1e-6), so VI is compared at the oracle tolerance 2*EPS.
+        for label, problem, hmin in invariant_models:
+            config = SolverConfig(TIGHT_EPS, heuristic=hmin)
+            first = solve_lao_star(problem, config=config)
+            states = [s for s in reachable_states(problem) if not problem.is_goal(s)]
+            candidates = [s for s in states if s not in first.policy] or states
+            s1 = candidates[len(candidates) // 2]
+            warm = solve_lao_star(problem, s1, config, values=first.values.copy())
+            cold = solve_lao_star(problem, s1, config)
+            vi = solve_value_iteration(problem, SolverConfig(TIGHT_EPS), start=s1)
+            assert abs(warm.start_value - cold.start_value) <= 2 * TIGHT_EPS, label
+            assert abs(warm.start_value - vi.start_value) <= 2 * EPS, label
+            assert s1 in warm.policy, label
 
 
 class TestHmin:
