@@ -17,8 +17,7 @@ from collections.abc import Callable, Iterable, Mapping
 from operator import itemgetter
 
 PROB_TOL = 1e-9
-# Relative Q-value gap below which bellman_backup keeps the lower action id.
-TIE_TOL = 1e-12
+TIE_TOL = 1e-12  # relative Q-value gap that bellman_backup treats as a tie
 
 Outcome = tuple[int, float]
 Distribution = tuple[Outcome, ...]

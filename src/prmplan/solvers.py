@@ -6,6 +6,7 @@ LAO* reads them through the Bellman kernel, and A* directly. LAO* runs as
 ILAO*: each iteration is one depth-first pass over the greedy envelope that
 expands the tips it meets and backs its states up in postorder. Value
 iteration shares no code with it, so it stays an independent oracle.
+`SolverConfig.max_iterations` bounds VI's sweeps and LAO*'s passes.
 """
 
 from __future__ import annotations
