@@ -1,12 +1,14 @@
 """prmplan: stochastic shortest path planning with portfolios of reduced models."""
 
 from .mdp import (
+    CompiledModel,
     DeadEndError,
     ModelError,
     Policy,
     SspProblem,
     ValueTable,
     bellman_backup,
+    compile_model,
     make_distribution,
     reachable_states,
     tabular_problem,
@@ -24,15 +26,11 @@ from .reduction import (
     UniformSelector,
     ZeroOneSelector,
     build_reduced_model,
-    make_01rm_selector,
     select_outcomes,
 )
 from .risk import (
-    PairTable,
     RiskPredicate,
     RiskProfile,
-    build_pair_table,
-    estimate_risk_profile,
     exact_risk_reachability,
     nse_set,
     sample_walks,

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from pathlib import Path
 
@@ -19,10 +20,10 @@ from .reduction import (
     MOST_LIKELY,
     ModelSelector,
     UniformSelector,
+    ZeroOneSelector,
     build_reduced_model,
-    make_01rm_selector,
 )
-from .risk import estimate_risk_profile
+from .risk import RiskProfile
 from .simulator import SimConfig, _solve_reduced, run_experiment
 from .solvers import SolverConfig, compute_hmin, solve_value_iteration
 
@@ -58,6 +59,13 @@ def _at_least_one(text: str) -> int:
     return value
 
 
+def _positive(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {value}")
+    return value
+
+
 def _add_instance_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--domain",
@@ -70,7 +78,7 @@ def _add_instance_args(sub: argparse.ArgumentParser) -> None:
         required=True,
         help="instance name (builtin) or path to a map/scenario file",
     )
-    sub.add_argument("--epsilon", type=float, default=1e-3, help="solver residual bound")
+    sub.add_argument("--epsilon", type=_positive, default=1e-3, help="solver residual bound")
     sub.add_argument(
         "--threshold",
         type=float,
@@ -117,7 +125,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="full,mlod,m02,rm01",
         help="comma-separated model names (full, mlod, m02, rm01)",
     )
-    experiment.add_argument("--trials", type=int, default=100, help="trials per model")
+    experiment.add_argument(
+        "--trials", type=_at_least_one, default=100, help="trials per model"
+    )
     experiment.add_argument("--jobs", type=int, default=1, help="concurrent trial runners")
     experiment.add_argument(
         "--out", default="results", help="output directory for report files"
@@ -133,10 +143,10 @@ def _make_selector(name: str, problem, predicate, args) -> ModelSelector:
     if name == "m02":
         return UniformSelector(M02)
     if name == "rm01":
-        profile = estimate_risk_profile(
+        profile = RiskProfile(
             problem, predicate, samples=args.samples, depth=args.depth, seed=args.seed
         )
-        return make_01rm_selector(profile, args.threshold)
+        return ZeroOneSelector(profile, args.threshold)
     raise ValueError(f"unknown model {name!r}; choose from {', '.join(MODEL_NAMES)}")
 
 

@@ -4,17 +4,23 @@ States and actions are dense integer ids within one problem instance.
 A domain supplies one callback, `expand_fn(s)`, that yields
 `(action, cost, outcomes)` for every applicable action of s, goals
 included. Each problem keeps one memo: the per-state record built from
-that callback on first use. The Bellman kernel, LAO*, A* and the model
-walkers read records, and the risk walker's pair table is flattened from
-them; the per-pair API (`actions`, `cost`, `transition`) is a view of them.
+that callback on first use, and the `CompiledModel` that `compile_model`
+flattens from them once per root. The Bellman kernel, LAO*, A* and the
+model walkers read records; value iteration, h_min and the risk walker read
+the compiled model. The per-pair API (`actions`, `cost`, `transition`) is a
+view of the records.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from collections import deque
 from collections.abc import Callable, Iterable, Mapping
 from operator import itemgetter
+from typing import NamedTuple
+
+import numpy as np
 
 PROB_TOL = 1e-9
 TIE_TOL = 1e-12  # relative Q-value gap that bellman_backup treats as a tie
@@ -70,7 +76,8 @@ class SspProblem:
     action of s, in any order; a goal yields zero-cost self-loops.
     `record(s)` holds those actions in id order, their costs and their
     validated distributions, memoized per state; `actions`, `cost` and
-    `transition` read it. Immutable after construction (the memo fills
+    `transition` read it. `compile_model` memoizes its flat arrays beside
+    the records. Immutable after construction (the memos fill
     idempotently), so one instance can back any number of concurrent solves
     and trials.
     """
@@ -91,6 +98,7 @@ class SspProblem:
         self.name = name
         self._expand_fn = expand_fn
         self._record_memo: dict[int, StateRecord] = {}
+        self._compiled_memo: dict[int, CompiledModel] = {}
 
     def is_goal(self, s: int) -> bool:
         return s in self.goals
@@ -260,6 +268,94 @@ def reachable_states(problem: SspProblem, start: int | None = None) -> list[int]
                     order.append(s2)
                     queue.append(s2)
     return order
+
+
+class CompiledModel(NamedTuple):
+    """The records of every state reachable from one root, goals included,
+    in flat arrays.
+
+    Positions index `states` (sorted ids); `goal` marks the goals. The
+    pairs of position i are `first_pair[i]:first_pair[i + 1]`, in record
+    order, with their `action` and `cost`. The outcomes of pair j are
+    `first_outcome[j]:first_outcome[j + 1]`, with successor positions
+    `succ`, probabilities `prob`, and cumulative probabilities shifted by
+    the pair id in `cum`, so the whole of `cum` is sorted and pair j's last
+    entry is exactly j + 1.
+    """
+
+    states: np.ndarray
+    first_pair: np.ndarray
+    first_outcome: np.ndarray
+    action: np.ndarray
+    cost: np.ndarray
+    succ: np.ndarray
+    prob: np.ndarray
+    cum: np.ndarray
+    goal: np.ndarray
+
+    def position(self, s: int) -> int:
+        i = int(np.searchsorted(self.states, s))
+        if i == len(self.states) or self.states[i] != s:
+            raise KeyError(f"state {s} is not reachable from the compiled root")
+        return i
+
+    def draw(self, pair: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Outcome indices of the given pairs, by inverse CDF at u in [0, 1)."""
+        j = np.searchsorted(self.cum, pair + u, side="right")
+        # pair + u can round up to pair + 1, one past the pair's last outcome.
+        return np.minimum(j, self.first_outcome[pair + 1] - 1)
+
+
+def compile_model(problem: SspProblem, start: int | None = None) -> CompiledModel:
+    """The problem's records over the states reachable from start (default
+    s0), flattened once per root and memoized on the problem. A goal's
+    zero-cost self-loop makes it absorbing. Raises DeadEndError for a state
+    without actions."""
+    root = problem.start if start is None else start
+    model = problem._compiled_memo.get(root)
+    if model is None:
+        model = problem._compiled_memo[root] = _flatten(problem, root)
+    return model
+
+
+def _flatten(problem: SspProblem, root: int) -> CompiledModel:
+    states = np.array(sorted(reachable_states(problem, root)), dtype=np.int64)
+    first_pair = array("q", [0])
+    first_outcome = array("q", [0])
+    action = array("q")
+    cost = array("d")
+    succ = array("q")
+    prob = array("d")
+    cum = array("d")
+    for s in states.tolist():
+        acts, costs, dists = problem.record(s)
+        if not acts:
+            raise DeadEndError(f"state {s} has no applicable action")
+        action.extend(acts)
+        cost.extend(costs)
+        for dist in dists:
+            pair = len(first_outcome) - 1
+            acc = 0.0
+            for s2, p in dist:
+                acc += p
+                succ.append(s2)
+                prob.append(p)
+                cum.append(pair + acc)
+            cum[-1] = pair + 1.0
+            first_outcome.append(len(succ))
+        first_pair.append(len(first_outcome) - 1)
+    goals = problem.goals
+    return CompiledModel(
+        states=states,
+        first_pair=np.frombuffer(first_pair, dtype=np.int64),
+        first_outcome=np.frombuffer(first_outcome, dtype=np.int64),
+        action=np.frombuffer(action, dtype=np.int64),
+        cost=np.frombuffer(cost, dtype=np.float64),
+        succ=np.searchsorted(states, np.frombuffer(succ, dtype=np.int64)),
+        prob=np.frombuffer(prob, dtype=np.float64),
+        cum=np.frombuffer(cum, dtype=np.float64),
+        goal=np.fromiter((s in goals for s in states.tolist()), dtype=bool, count=len(states)),
+    )
 
 
 def validate_problem(problem: SspProblem) -> list[str]:

@@ -147,12 +147,6 @@ class ZeroOneSelector(ModelSelector):
         return MOST_LIKELY
 
 
-def make_01rm_selector(
-    risk_profile: "RiskProfile", threshold: float = 0.25
-) -> ZeroOneSelector:
-    return ZeroOneSelector(risk_profile, threshold)
-
-
 class ReducedModel(SspProblem):
     """The base problem with each distribution cut by the selector.
 
@@ -164,14 +158,17 @@ class ReducedModel(SspProblem):
     """
 
     def __init__(self, base: SspProblem, selector: ModelSelector, name: str = ""):
+        # Records come from _build_record, so no expansion callback is kept.
+        super().__init__(
+            base.n_states,
+            base.n_actions,
+            base.start,
+            base.goals,
+            expand_fn=None,
+            name=name or (f"{base.name}/reduced" if base.name else "reduced"),
+        )
         self.base = base
         self.selector = selector
-        self.n_states = base.n_states
-        self.n_actions = base.n_actions
-        self.start = base.start
-        self.goals = base.goals
-        self.name = name or (f"{base.name}/reduced" if base.name else "reduced")
-        self._record_memo: dict[int, StateRecord] = {}
 
     def _build_record(self, s: int) -> StateRecord:
         acts, costs, dists = self.base.record(s)

@@ -20,11 +20,9 @@ from .mdp import DeadEndError, SspProblem, ValueTable
 from .reduction import ModelSelector, ReducedModel, build_reduced_model
 from .risk import RiskPredicate
 from .solvers import (
-    CompiledModel,
     NonconvergenceError,
     Solution,
     SolverConfig,
-    compile_model,
     compute_hmin,
     solve_deterministic,
     solve_lao_star,
@@ -202,16 +200,11 @@ def run_trial(
     return stats
 
 
-def optimal_start_value(
-    base: SspProblem,
-    config: SimConfig | None = None,
-    compiled: CompiledModel | None = None,
-) -> float:
+def optimal_start_value(base: SspProblem, config: SimConfig | None = None) -> float:
     """V*(s0) of the full model by value iteration, the oracle that shares
-    no code with LAO*. `compiled`, when given, is `compile_model(base)`,
-    which is then not rebuilt."""
+    no code with LAO*."""
     config = config or SimConfig()
-    return solve_value_iteration(base, config.solver_config(), compiled=compiled).start_value
+    return solve_value_iteration(base, config.solver_config()).start_value
 
 
 def run_experiment(
@@ -235,12 +228,10 @@ def run_experiment(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     config = config or SimConfig()
-    # h_min and V*(s0) share one compilation of the base model, dropped
-    # before the timed solves.
-    compiled = compile_model(base)
-    heuristic = compute_hmin(base, compiled=compiled)
-    optimal = optimal_start_value(base, config, compiled)
-    del compiled
+    # h_min, V*(s0) and any risk profile over the base read its one
+    # memoized compiled model.
+    heuristic = compute_hmin(base)
+    optimal = optimal_start_value(base, config)
     solver_cfg = config.solver_config(heuristic)
 
     t0 = time.perf_counter()

@@ -1,10 +1,11 @@
 """Solvers: value iteration oracle, exact h_min heuristic, LAO*, and A*.
 
-Every solver reads the problem's one memo, its per-state records: value
-iteration and h_min compile them to per-action sparse transition matrices,
-LAO* reads them through the Bellman kernel, and A* directly. LAO* runs as
-ILAO*: each iteration is one depth-first pass over the greedy envelope that
-expands the tips it meets and backs its states up in postorder. Value
+Every solver reads the problem's per-state records: value iteration and
+h_min through its memoized compiled model, as one (pairs x states) sparse
+transition matrix, LAO* through the Bellman kernel, and A* directly. LAO*
+runs as ILAO*: each iteration is one depth-first pass over the greedy
+envelope that expands the tips it meets and backs its states up in
+postorder. Value
 iteration shares no code with it, so it stays an independent oracle.
 `SolverConfig.max_iterations` bounds VI's sweeps and LAO*'s passes.
 """
@@ -16,19 +17,19 @@ import math
 import time
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy import sparse
 
 from .mdp import (
+    CompiledModel,
     DeadEndError,
     ModelError,
     Policy,
     SspProblem,
     ValueTable,
     bellman_backup,
-    reachable_states,
+    compile_model,
 )
 
 
@@ -62,97 +63,61 @@ class Solution:
         return self.values[self.start]
 
 
-class CompiledModel(NamedTuple):
-    """States reachable from one root (root first), compiled to arrays
-    indexed by position in `states`: the (n, |A|) cost array, inf where an
-    action does not apply and on goal rows; one sparse n x n transition
-    matrix per action; and the goal rows."""
-
-    states: list[int]
-    cost: np.ndarray
-    mats: list[sparse.csr_matrix]
-    goal_rows: np.ndarray
+def _transitions(model: CompiledModel) -> sparse.csr_array:
+    """The (pairs x states) transition matrix of the model, sharing its
+    arrays: row j holds the outcome probabilities of pair j."""
+    shape = (len(model.cost), len(model.states))
+    return sparse.csr_array((model.prob, model.succ, model.first_outcome), shape=shape)
 
 
-def _transition_matrices(problem: SspProblem, states: list[int]) -> CompiledModel:
-    """Compile the records of `states` (closed under successors).
-    Raises DeadEndError for a non-goal state without actions.
-    """
-    n = len(states)
-    index = {s: i for i, s in enumerate(states)}
-    n_a = problem.n_actions
-    cost = np.full((n, n_a), np.inf)
-    rows: list[list[int]] = [[] for _ in range(n_a)]
-    cols: list[list[int]] = [[] for _ in range(n_a)]
-    data: list[list[float]] = [[] for _ in range(n_a)]
-    goal_rows = []
-    for i, s in enumerate(states):
-        if problem.is_goal(s):
-            goal_rows.append(i)
-            continue
-        rec = problem.record(s)
-        if not rec[0]:
-            raise DeadEndError(f"state {s} has no applicable action")
-        for a, c, dist in zip(*rec):
-            cost[i, a] = c
-            for s2, p in dist:
-                rows[a].append(i)
-                cols[a].append(index[s2])
-                data[a].append(p)
-    mats = [
-        sparse.csr_matrix((data[a], (rows[a], cols[a])), shape=(n, n))
-        for a in range(n_a)
-    ]
-    return CompiledModel(states, cost, mats, np.array(goal_rows, dtype=int))
-
-
-def compile_model(problem: SspProblem, start: int | None = None) -> CompiledModel:
-    """The problem compiled over the states reachable from start (default s0)."""
-    return _transition_matrices(problem, reachable_states(problem, start))
+def _owners(model: CompiledModel) -> np.ndarray:
+    """The position of the state each pair belongs to."""
+    return np.repeat(np.arange(len(model.states)), np.diff(model.first_pair))
 
 
 def solve_value_iteration(
     problem: SspProblem,
     config: SolverConfig | None = None,
     start: int | None = None,
-    compiled: CompiledModel | None = None,
 ) -> Solution:
     """Full-sweep value iteration over all states reachable from start.
 
-    The desk-scale oracle: vectorized sweeps over sparse per-action
-    transition matrices until the sup-norm residual drops below epsilon.
-    `compiled`, when given, is `compile_model(problem, start)`, which is
-    then not rebuilt.
+    The desk-scale oracle: Jacobi sweeps over the compiled model until the
+    sup-norm residual drops below epsilon. A sweep computes every pair's
+    Q-value as its cost plus one sparse row product, takes each state's
+    minimum over its pairs and pins goals to 0. The policy takes the
+    lowest action among the minimal pairs.
     """
     config = config or SolverConfig()
     root = problem.start if start is None else start
     t0 = time.perf_counter()
-    if compiled is None:
-        compiled = compile_model(problem, root)
-    states, cost, mats, goal_rows = compiled
-    n = len(states)
-    n_a = problem.n_actions
+    model = compile_model(problem, root)
+    transitions = _transitions(model)
+    first = model.first_pair[:-1]
+    n = len(model.states)
 
     v = np.zeros(n)
-    q = cost.copy()
+    q = model.cost
     converged = False
     for _ in range(config.max_iterations):
-        q = cost + np.stack([mats[a] @ v for a in range(n_a)], axis=1)
-        v_new = np.min(q, axis=1)
-        if goal_rows.size:
-            v_new[goal_rows] = 0.0
+        q = model.cost + transitions @ v
+        v_new = np.minimum.reduceat(q, first)
+        v_new[model.goal] = 0.0
         residual = float(np.max(np.abs(v_new - v)))
         v = v_new
         if residual < config.epsilon:
             converged = True
             break
 
-    values = ValueTable(config.heuristic, {s: float(v[i]) for i, s in enumerate(states)})
-    policy: Policy = {}
-    for i, s in enumerate(states):
-        if problem.is_goal(s):
-            continue
-        policy[s] = int(np.argmin(q[i]))
+    # Each state's policy action is that of its first minimal pair.
+    minimal = q == np.minimum.reduceat(q, first)[_owners(model)]
+    best = np.minimum.reduceat(np.where(minimal, np.arange(len(q)), len(q)), first)
+    states = model.states.tolist()
+    values = ValueTable(config.heuristic, dict(zip(states, v.tolist())))
+    actions = model.action[best].tolist()
+    policy: Policy = {
+        s: a for s, a, goal in zip(states, actions, model.goal.tolist()) if not goal
+    }
     solution = Solution(policy, values, n, time.perf_counter() - t0, root, converged)
     if not converged:
         raise NonconvergenceError(
@@ -166,7 +131,6 @@ def compute_hmin(
     problem: SspProblem,
     start: int | None = None,
     config: SolverConfig | None = None,
-    compiled: CompiledModel | None = None,
 ) -> Callable[[int], float]:
     """Exact h_min (Bonet & Geffner 2003) on the states reachable from start.
 
@@ -175,38 +139,37 @@ def compute_hmin(
     reachable. One backward Dijkstra pass from the goals computes it, which
     needs non-negative costs (validate_problem checks them). It is
     consistent on the edges of the base model and so of every reduced model,
-    whose supports are subsets. `config` is unused. `compiled`, when given,
-    is `compile_model(problem, start)`, which is then not rebuilt. The
-    returned h raises KeyError for states not reachable from start.
+    whose supports are subsets. `config` is unused. The returned h raises
+    KeyError for states not reachable from start.
     """
-    if compiled is None:
-        compiled = compile_model(problem, start)
-    states, cost, mats, goal_rows = compiled
-    # Column s' of action a's matrix lists each s with s' in the support of
-    # (s, a): the predecessors of s' through a, at cost C(s, a). Edges and
-    # distances stay in numpy buffers read through memoryviews; a Python
-    # object per edge or per distance would lift peak memory above VI's.
-    into = []
-    for a, mat in enumerate(mats):
-        csc = mat.tocsc()
-        into.append((memoryview(csc.indptr), memoryview(csc.indices), memoryview(cost[:, a])))
-    h = np.full(len(states), np.inf)
+    model = compile_model(problem, start)
+    # Column s' of the transposed matrix lists each pair (s, a) with s' in
+    # its support: through it, s is a predecessor of s' at cost C(s, a).
+    # Edges and distances stay in numpy buffers read through memoryviews; a
+    # Python object per edge or per distance would lift peak memory above
+    # VI's.
+    into = _transitions(model).tocsc()
+    ptr = memoryview(into.indptr)
+    pairs = memoryview(into.indices)
+    owner = memoryview(_owners(model))
+    weight = memoryview(model.cost)
+    h = np.full(len(model.states), np.inf)
     dist = memoryview(h)
-    frontier = [(0.0, g) for g in goal_rows.tolist()]  # sorted, so a heap
+    frontier = [(0.0, g) for g in np.flatnonzero(model.goal).tolist()]  # sorted, so a heap
     for _, g in frontier:
         dist[g] = 0.0
     while frontier:
         d, j = heapq.heappop(frontier)
         if d > dist[j]:
             continue
-        for ptr, src, weight in into:
-            for k in range(ptr[j], ptr[j + 1]):
-                i = src[k]
-                new = weight[i] + d
-                if new < dist[i]:
-                    dist[i] = new
-                    heapq.heappush(frontier, (new, i))
-    return dict(zip(states, h.tolist())).__getitem__
+        for k in range(ptr[j], ptr[j + 1]):
+            pair = pairs[k]
+            i = owner[pair]
+            new = weight[pair] + d
+            if new < dist[i]:
+                dist[i] = new
+                heapq.heappush(frontier, (new, i))
+    return dict(zip(model.states.tolist(), h.tolist())).__getitem__
 
 
 def solve_lao_star(

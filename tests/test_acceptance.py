@@ -16,13 +16,13 @@ from prmplan import (
     FULL_MODEL,
     M02,
     MOST_LIKELY,
+    RiskProfile,
     SolverConfig,
     UniformSelector,
+    ZeroOneSelector,
     build_reduced_model,
     compute_hmin,
-    estimate_risk_profile,
     exact_risk_reachability,
-    make_01rm_selector,
     nse_set,
     reachable_states,
     run_experiment,
@@ -175,8 +175,8 @@ def test_criterion_05_time_savings(large_reports):
 def test_criterion_06_reduction_invariants(tiny_racetrack, small_sailing, small_ev):
     ok = True
     for problem, predicate in (tiny_racetrack, small_sailing, small_ev):
-        profile = estimate_risk_profile(problem, predicate, seed=SEED)
-        rm01 = build_reduced_model(problem, make_01rm_selector(profile, 0.25))
+        profile = RiskProfile(problem, predicate, seed=SEED)
+        rm01 = build_reduced_model(problem, ZeroOneSelector(profile, 0.25))
         for s in reachable_states(problem):
             if problem.is_goal(s):
                 continue
@@ -213,7 +213,7 @@ def test_criterion_07_reachability_estimator():
         states = reachable_states(problem)
         assert len(states) <= 10**3
         exact = exact_risk_reachability(problem, predicate, depth=4)
-        profile = estimate_risk_profile(problem, predicate, samples=n, depth=4, seed=SEED)
+        profile = RiskProfile(problem, predicate, samples=n, depth=4, seed=SEED)
         within = 0
         for s in states:
             p = exact[s]
@@ -248,12 +248,12 @@ def brute_force_nse(problem, selector, predicate):
 def test_criterion_08_nse_set_correctness(tiny_racetrack, small_sailing, small_ev):
     ok = True
     for problem, predicate in (tiny_racetrack, small_sailing, small_ev):
-        profile = estimate_risk_profile(problem, predicate, seed=SEED)
+        profile = RiskProfile(problem, predicate, seed=SEED)
         for selector in (
             UniformSelector(MOST_LIKELY),
             UniformSelector(M02),
             UniformSelector(FULL_MODEL),
-            make_01rm_selector(profile, 0.25),
+            ZeroOneSelector(profile, 0.25),
         ):
             reduced = build_reduced_model(problem, selector)
             ok &= nse_set(problem, reduced, predicate) == brute_force_nse(

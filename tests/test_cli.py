@@ -152,7 +152,18 @@ class TestExperiment:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("flag,value", [("--samples", "0"), ("--depth", "-1")])
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--samples", "0"),
+            ("--depth", "-1"),
+            ("--trials", "0"),
+            ("--epsilon", "0"),
+            ("--epsilon", "-1e-3"),
+            ("--epsilon", "nan"),
+            ("--epsilon", "inf"),
+        ],
+    )
     def test_walk_settings_below_one_exit_2(self, tmp_path, capsys, flag, value):
         with pytest.raises(SystemExit) as err:
             main(

@@ -21,6 +21,7 @@ from prmplan import (
     ValueTable,
     bellman_backup,
     build_reduced_model,
+    compile_model,
     compute_hmin,
     make_distribution,
     reachable_states,
@@ -337,6 +338,20 @@ class TestReachability:
             goals={1},
         )
         assert reachable_states(problem) == [0, 1]
+
+
+class TestCompileModel:
+    def test_memo_keyed_by_resolved_root(self, chain3):
+        model = compile_model(chain3)
+        assert compile_model(chain3, chain3.start) is model
+        assert compile_model(chain3, 1) is not model
+        assert compile_model(chain3, 1).states.tolist() == [1, 2]
+
+    def test_reduced_model_compiles_its_own_records(self, risky_fork):
+        problem, _ = risky_fork
+        reduced = build_reduced_model(problem, UniformSelector(MOST_LIKELY))
+        assert compile_model(reduced) is not compile_model(problem)
+        assert compile_model(reduced).states.tolist() == [0, 1, 3]
 
 
 class TestValidateProblem:

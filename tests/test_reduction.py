@@ -16,7 +16,6 @@ from prmplan import (
     UniformSelector,
     ZeroOneSelector,
     build_reduced_model,
-    make_01rm_selector,
     make_distribution,
     reachable_states,
     select_outcomes,
@@ -159,7 +158,7 @@ class TestZeroOneSelector:
         problem, predicate = risky_fork
         profile = RiskProfile(problem, predicate)
         profile._reach = {0: 0.3, 1: 0.0, 2: 1.0, 3: 0.0}
-        selector = make_01rm_selector(profile, 0.25)
+        selector = ZeroOneSelector(profile, 0.25)
         assert selector.principle(0, 0) == FULL_MODEL
         assert selector.principle(0, 1) == FULL_MODEL
 
@@ -172,7 +171,7 @@ class TestZeroOneSelector:
         )
         predicate = RiskPredicate(evaluate=lambda s: False)
         profile = RiskProfile(problem, predicate)
-        selector = make_01rm_selector(profile, 0.25)
+        selector = ZeroOneSelector(profile, 0.25)
         for s in (0, 1):
             for a in problem.actions(s):
                 assert selector.principle(s, a) == MOST_LIKELY
@@ -183,14 +182,14 @@ class TestZeroOneSelector:
         problem, predicate = risky_fork
         profile = RiskProfile(problem, predicate)
         profile._reach = {0: 0.0, 1: 0.0, 2: 1.0, 3: 0.0}
-        selector = make_01rm_selector(profile, 0.25)
+        selector = ZeroOneSelector(profile, 0.25)
         assert selector.principle(0, 0) == FULL_MODEL  # 10% branch into s2
         assert selector.principle(0, 1) == MOST_LIKELY
 
     def test_zero_one_cardinality(self, risky_fork):
         problem, predicate = risky_fork
         profile = RiskProfile(problem, predicate, seed=0)
-        reduced = build_reduced_model(problem, make_01rm_selector(profile, 0.25))
+        reduced = build_reduced_model(problem, ZeroOneSelector(profile, 0.25))
         for s in reachable_states(problem):
             for a in problem.actions(s):
                 full_n = len(problem.transition(s, a))
@@ -206,7 +205,7 @@ class TestZeroOneSelector:
 
         problem, predicate = build_instance(*instance)
         profile = RiskProfile(problem, predicate, seed=1)
-        selector = make_01rm_selector(profile, 0.25)
+        selector = ZeroOneSelector(profile, 0.25)
         guarded = 0
         for s in reachable_states(problem):
             if problem.is_goal(s):
@@ -224,7 +223,7 @@ class TestZeroOneSelector:
         problem, predicate = risky_fork
         profile = RiskProfile(problem, predicate)
         profile._reach = {0: 0.0, 1: 0.0, 2: 1.0, 3: 0.0}
-        selector = make_01rm_selector(profile, 0.25)
+        selector = ZeroOneSelector(profile, 0.25)
         summary = selector.summary(problem)
         # (0,0) via the one-step guard and (2,0) via reach(2)=1 keep the
         # full model; (0,1) and (1,0) determinize.

@@ -1,6 +1,5 @@
 """Risk predicates, NSE sets, random-walk sampling, and reachability estimates."""
 
-import io
 import math
 
 import numpy as np
@@ -11,10 +10,10 @@ from prmplan import (
     MOST_LIKELY,
     DeadEndError,
     RiskPredicate,
+    RiskProfile,
     UniformSelector,
-    build_pair_table,
     build_reduced_model,
-    estimate_risk_profile,
+    compile_model,
     exact_risk_reachability,
     nse_set,
     reachable_states,
@@ -60,7 +59,7 @@ class TestNseSet:
 NO_RISK = RiskPredicate(evaluate=lambda s: False)
 
 # One instance per domain with enough states and branching to exercise the
-# table: sailing 8M, racetrack zigzag-5 and EV gen-1.
+# compiled model: sailing 8M, racetrack zigzag-5 and EV gen-1.
 DOMAIN_INSTANCES = [("sailing", "8M"), ("racetrack", "zigzag-5"), ("ev", "gen-1")]
 
 
@@ -69,7 +68,7 @@ def domain_table(request):
     from prmplan.domains import build_instance
 
     problem, predicate = build_instance(*request.param)
-    return problem, predicate, build_pair_table(problem, predicate)
+    return problem, predicate, compile_model(problem)
 
 
 def supports(problem, s):
@@ -79,21 +78,21 @@ def supports(problem, s):
 
 class TestSampleWalks:
     def test_depth_one_transitions(self, self_loop):
-        walks = sample_walks(build_pair_table(self_loop, NO_RISK), 0, n=50, depth=1, seed=1)
+        walks = sample_walks(compile_model(self_loop), 0, n=50, depth=1, seed=1)
         assert walks.shape == (50, 2)
         assert (walks[:, 0] == 0).all()
         assert set(walks[:, 1].tolist()) <= {0, 1}
 
     def test_deterministic_chain_identical(self, chain3):
-        walks = sample_walks(build_pair_table(chain3, NO_RISK), 0, n=10, depth=5, seed=3)
+        walks = sample_walks(compile_model(chain3), 0, n=10, depth=5, seed=3)
         assert walks.tolist() == [[0, 1, 2, 2, 2, 2]] * 10
 
     def test_goal_absorbs(self, chain3):
-        walks = sample_walks(build_pair_table(chain3, NO_RISK), 2, n=5, depth=9, seed=0)
+        walks = sample_walks(compile_model(chain3), 2, n=5, depth=9, seed=0)
         assert walks.tolist() == [[2] * 10] * 5
 
     def test_seed_determinism(self, self_loop):
-        table = build_pair_table(self_loop, NO_RISK)
+        table = compile_model(self_loop)
         a = sample_walks(table, 0, n=100, depth=4, seed=7)
         b = sample_walks(table, 0, n=100, depth=4, seed=7)
         c = sample_walks(table, 0, n=100, depth=4, seed=8)
@@ -101,12 +100,12 @@ class TestSampleWalks:
         assert not np.array_equal(a, c)
 
     def test_binomial_concentration(self, self_loop):
-        walks = sample_walks(build_pair_table(self_loop, NO_RISK), 0, n=10_000, depth=1, seed=0)
+        walks = sample_walks(compile_model(self_loop), 0, n=10_000, depth=1, seed=0)
         frac = float((walks[:, -1] == 1).mean())
         assert frac == pytest.approx(0.5, abs=0.02)
 
     def test_argument_validation(self, chain3):
-        table = build_pair_table(chain3, NO_RISK)
+        table = compile_model(chain3)
         with pytest.raises(ValueError):
             sample_walks(table, 0, n=0, depth=1, seed=0)
         with pytest.raises(ValueError):
@@ -129,17 +128,22 @@ class TestSampleWalks:
 
 
 class TestPairTable:
+    """The pair table layout of the compiled model that the walks read."""
+
     def test_layout_matches_records(self, domain_table):
-        problem, predicate, table = domain_table
+        problem, _, table = domain_table
         assert table.states.tolist() == sorted(reachable_states(problem))
-        assert table.risky.tolist() == [predicate(s) for s in table.states.tolist()]
+        assert table.goal.tolist() == [problem.is_goal(s) for s in table.states.tolist()]
         for i, s in enumerate(table.states.tolist()):
-            dists = problem.record(s)[2]
+            acts, costs, dists = problem.record(s)
             pairs = range(table.first_pair[i], table.first_pair[i + 1])
+            assert table.action[pairs.start:pairs.stop].tolist() == list(acts)
+            assert table.cost[pairs.start:pairs.stop].tolist() == list(costs)
             assert len(pairs) == len(dists)
             for pair, dist in zip(pairs, dists):
                 lo, hi = table.first_outcome[pair], table.first_outcome[pair + 1]
                 assert table.states[table.succ[lo:hi]].tolist() == [s2 for s2, _ in dist]
+                assert table.prob[lo:hi].tolist() == [p for _, p in dist]
                 probs = np.diff(np.concatenate(([pair], table.cum[lo:hi])))
                 assert probs == pytest.approx([p for _, p in dist], abs=1e-9)
 
@@ -157,7 +161,7 @@ class TestPairTable:
             transitions={(0, 0): [(1, 0.5), (2, 0.5)]}, costs={(0, 0): 1.0}, start=0, goals={2}
         )
         with pytest.raises(DeadEndError, match="state 1"):
-            build_pair_table(problem, NO_RISK)
+            compile_model(problem)
 
     def test_every_draw_lands_in_its_pair(self, domain_table):
         _, _, table = domain_table
@@ -172,14 +176,21 @@ class TestPairTable:
 
 
 class TestRiskProfile:
+    def test_risky_mask_matches_predicate(self, domain_table):
+        problem, predicate, table = domain_table
+        profile = RiskProfile(problem, predicate)
+        model, risky = profile._model()
+        assert model is table
+        assert risky.tolist() == [predicate(s) for s in table.states.tolist()]
+
     def test_risky_state_shortcut(self, risky_fork):
         problem, predicate = risky_fork
-        profile = estimate_risk_profile(problem, predicate, seed=0)
+        profile = RiskProfile(problem, predicate, seed=0)
         assert profile.reach(2) == 1.0
 
     def test_unreachable_risk_is_zero(self, chain3):
         predicate = RiskPredicate(evaluate=lambda s: False)
-        profile = estimate_risk_profile(chain3, predicate, seed=0)
+        profile = RiskProfile(chain3, predicate, seed=0)
         assert profile.reach(0) == 0.0
 
     def test_equiprobable_branch_estimate(self):
@@ -196,7 +207,7 @@ class TestRiskProfile:
             goals={3},
         )
         predicate = RiskPredicate(evaluate=lambda s: s == 2)
-        profile = estimate_risk_profile(problem, predicate, samples=10_000, depth=2, seed=0)
+        profile = RiskProfile(problem, predicate, samples=10_000, depth=2, seed=0)
         assert profile.reach(0) == pytest.approx(0.5, abs=0.02)
 
     def test_unreachable_state_raises(self):
@@ -207,54 +218,39 @@ class TestRiskProfile:
             start=0,
             goals={1},
         )
-        profile = estimate_risk_profile(problem, NO_RISK, seed=0)
+        profile = RiskProfile(problem, NO_RISK, seed=0)
         assert profile.reach(0) == 0.0
         with pytest.raises(KeyError, match="state 5"):
             profile.reach(5)
 
     def test_arguments_at_least_one(self, chain3):
         with pytest.raises(ValueError):
-            estimate_risk_profile(chain3, NO_RISK, samples=0)
+            RiskProfile(chain3, NO_RISK, samples=0)
         with pytest.raises(ValueError):
-            estimate_risk_profile(chain3, NO_RISK, depth=-1)
+            RiskProfile(chain3, NO_RISK, depth=-1)
 
     def test_values_are_sample_frequencies(self, risky_fork):
         problem, predicate = risky_fork
-        profile = estimate_risk_profile(problem, predicate, samples=30, seed=0)
+        profile = RiskProfile(problem, predicate, samples=30, seed=0)
         value = profile.reach(0)
         assert math.isclose(value * 30, round(value * 30), abs_tol=1e-9)
 
     def test_seed_determinism(self, risky_fork):
         problem, predicate = risky_fork
-        a = estimate_risk_profile(problem, predicate, seed=5)
-        b = estimate_risk_profile(problem, predicate, seed=5)
-        a.materialize()
-        b.materialize()
-        assert a._reach == b._reach
+        a = RiskProfile(problem, predicate, seed=5)
+        b = RiskProfile(problem, predicate, seed=5)
+        states = compile_model(problem).states.tolist()
+        assert [a.reach(s) for s in states] == [b.reach(s) for s in states]
 
     def test_query_order_independent(self, risky_fork):
         problem, predicate = risky_fork
-        a = estimate_risk_profile(problem, predicate, seed=5)
-        b = estimate_risk_profile(problem, predicate, seed=5)
+        a = RiskProfile(problem, predicate, seed=5)
+        b = RiskProfile(problem, predicate, seed=5)
         a.reach(0)
         a.reach(1)
         b.reach(1)
         b.reach(0)
         assert a._reach == b._reach
-
-    def test_dump_format(self, risky_fork):
-        problem, predicate = risky_fork
-        profile = estimate_risk_profile(problem, predicate, seed=0)
-        profile.reach(2)
-        profile.reach(0)
-        out = io.StringIO()
-        profile.dump(out)
-        lines = out.getvalue().splitlines()
-        assert lines[0].startswith("0 ")
-        assert lines[1] == "2 1.000000"
-        for line in lines:
-            sid, value = line.split()
-            assert 0.0 <= float(value) <= 1.0
 
 
 class TestExactReachability:
@@ -281,7 +277,7 @@ class TestExactReachability:
     def test_estimator_converges_to_exact(self, small_sailing):
         problem, predicate = small_sailing
         exact = exact_risk_reachability(problem, predicate, depth=4)
-        profile = estimate_risk_profile(problem, predicate, samples=2000, depth=4, seed=0)
+        profile = RiskProfile(problem, predicate, samples=2000, depth=4, seed=0)
         states = list(exact)[::11]
         within = sum(
             1

@@ -10,10 +10,12 @@ from prmplan import (
     ModelResult,
     ModelSelector,
     RiskPredicate,
+    RiskProfile,
     SelectorError,
     SimConfig,
     TableSelector,
     UniformSelector,
+    ZeroOneSelector,
     build_reduced_model,
     run_experiment,
     run_trial,
@@ -132,6 +134,25 @@ class TestRunExperiment:
         stats = result.trials[0]
         assert result.mean_cost == stats.total_cost
         assert result.mean_nse == stats.nse_hits
+
+    def test_rm01_experiment_compiles_the_base_once(self, risky_fork, monkeypatch):
+        # h_min, V*(s0) and the rm01 risk walks all read one compiled base.
+        from prmplan import mdp
+
+        problem, predicate = risky_fork
+        flatten = mdp._flatten
+        flattened = []
+
+        def counting_flatten(p, root):
+            flattened.append((p, root))
+            return flatten(p, root)
+
+        monkeypatch.setattr(mdp, "_flatten", counting_flatten)
+        profile = RiskProfile(problem, predicate, seed=0)
+        selector = ZeroOneSelector(profile, 0.25)
+        run_experiment(problem, [("rm01", selector)], predicate, trials=5, seed=0)
+        assert profile._reach
+        assert flattened == [(problem, problem.start)]
 
     def test_reproducible_modulo_timing(self, risky_fork):
         problem, predicate = risky_fork
