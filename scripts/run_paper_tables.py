@@ -15,7 +15,12 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from prmplan import SimConfig, run_experiment  # noqa: E402
-from prmplan.cli import _align_columns, _make_selector  # noqa: E402
+from prmplan.cli import (  # noqa: E402
+    _align_columns,
+    _at_least_one,
+    _make_selector,
+    _non_negative,
+)
 from prmplan.domains import desk_instances, large_instances  # noqa: E402
 
 
@@ -62,8 +67,8 @@ def print_table(title, rows, columns):
 
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--trials", type=int, default=100)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--trials", type=_at_least_one, default=100)
+    parser.add_argument("--seed", type=_non_negative, default=0)
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument(
         "--skip-large",

@@ -6,7 +6,6 @@ from .mdp import (
     ModelError,
     Policy,
     SspProblem,
-    ValueTable,
     bellman_backup,
     compile_model,
     make_distribution,

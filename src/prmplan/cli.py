@@ -59,10 +59,24 @@ def _at_least_one(text: str) -> int:
     return value
 
 
+def _non_negative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _positive(text: str) -> float:
     value = float(text)
     if not 0.0 < value < math.inf:
         raise argparse.ArgumentTypeError(f"must be positive and finite, got {value}")
+    return value
+
+
+def _probability(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {value}")
     return value
 
 
@@ -81,7 +95,7 @@ def _add_instance_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--epsilon", type=_positive, default=1e-3, help="solver residual bound")
     sub.add_argument(
         "--threshold",
-        type=float,
+        type=_probability,
         default=0.25,
         help="risk reachability threshold for the rm01 selector",
     )
@@ -91,7 +105,7 @@ def _add_instance_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--depth", type=_at_least_one, default=4, help="random walk depth (rm01)"
     )
-    sub.add_argument("--seed", type=int, default=0, help="master random seed")
+    sub.add_argument("--seed", type=_non_negative, default=0, help="master random seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -213,8 +227,13 @@ def cmd_experiment(args) -> int:
 
     names = [n.strip() for n in args.models.split(",") if n.strip()]
     unknown = [n for n in names if n not in MODEL_NAMES]
-    if unknown:
-        print(f"error: unknown model(s) {', '.join(unknown)}", file=sys.stderr)
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    for bad, what in ((unknown, "unknown"), (repeated, "repeated")):
+        if bad:
+            print(f"error: --models: {what} model(s) {', '.join(bad)}", file=sys.stderr)
+            return 2
+    if not names:
+        print("error: --models names no model", file=sys.stderr)
         return 2
     problem, predicate = build_instance(args.domain, args.instance, seed=args.seed)
     models = [(n, _make_selector(n, problem, predicate, args)) for n in names]

@@ -245,14 +245,12 @@ def build_ev(scenario: EvScenario) -> tuple[SspProblem, RiskPredicate]:
 
     problem = SspProblem(
         n_states=len(states),
-        n_actions=8,
         start=0,
         goals={done_id},
         expand_fn=expand_fn,
         name=scenario.name,
     )
     problem.states = states
-    problem.scenario = scenario
 
     def risky(s: int) -> bool:
         state = states[s]

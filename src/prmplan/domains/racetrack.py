@@ -165,7 +165,6 @@ def build_racetrack(
 
     problem = SspProblem(
         n_states=len(states),
-        n_actions=len(ACTIONS),
         start=0,
         goals=goal_ids,
         expand_fn=expand_fn,

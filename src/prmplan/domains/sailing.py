@@ -89,7 +89,6 @@ def build_sailing(
 
     problem = SspProblem(
         n_states=len(states),
-        n_actions=8,
         start=0,
         goals=goal_ids,
         expand_fn=expand_fn,

@@ -85,14 +85,12 @@ class SspProblem:
     def __init__(
         self,
         n_states: int,
-        n_actions: int,
         start: int,
         goals: Iterable[int],
         expand_fn: Callable[[int], Iterable[tuple[int, float, Iterable[Outcome]]]],
         name: str = "",
     ):
         self.n_states = n_states
-        self.n_actions = n_actions
         self.start = start
         self.goals = frozenset(goals)
         self.name = name
@@ -146,7 +144,6 @@ def tabular_problem(
     start: int,
     goals: Iterable[int],
     n_states: int | None = None,
-    n_actions: int | None = None,
     name: str = "",
 ) -> SspProblem:
     """Build a problem from explicit dicts keyed by (state, action).
@@ -156,12 +153,11 @@ def tabular_problem(
     """
     goals = frozenset(goals)
     per_state: dict[int, list[int]] = {}
-    hi_s, hi_a = start, 0
+    hi_s = start
     for (s, a) in transitions:
         per_state.setdefault(s, []).append(a)
         hi_s = max(hi_s, s)
-        hi_a = max(hi_a, a)
-    for (entries) in transitions.values():
+    for entries in transitions.values():
         for s2, _ in entries:
             hi_s = max(hi_s, s2)
     for g in goals:
@@ -174,7 +170,6 @@ def tabular_problem(
 
     return SspProblem(
         n_states=n_states if n_states is not None else hi_s + 1,
-        n_actions=n_actions if n_actions is not None else hi_a + 1,
         start=start,
         goals=goals,
         expand_fn=expand_fn,
@@ -182,47 +177,16 @@ def tabular_problem(
     )
 
 
-class ValueTable:
-    """Partial value function V(s) with a heuristic fallback for new states."""
-
-    __slots__ = ("_values", "heuristic")
-
-    def __init__(
-        self,
-        heuristic: Callable[[int], float] | None = None,
-        values: Mapping[int, float] | None = None,
-    ):
-        self._values: dict[int, float] = dict(values) if values else {}
-        self.heuristic = heuristic
-
-    def __getitem__(self, s: int) -> float:
-        v = self._values.get(s)
-        if v is None:
-            v = float(self.heuristic(s)) if self.heuristic is not None else 0.0
-            self._values[s] = v
-        return v
-
-    def __setitem__(self, s: int, v: float) -> None:
-        self._values[s] = v
-
-    def __contains__(self, s: int) -> bool:
-        return s in self._values
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def known(self) -> dict[int, float]:
-        return dict(self._values)
-
-    def copy(self) -> "ValueTable":
-        return ValueTable(self.heuristic, self._values)
-
-
-def bellman_backup(problem: SspProblem, values: ValueTable, s: int) -> tuple[float, int]:
+def bellman_backup(
+    problem: SspProblem,
+    values: dict[int, float],
+    s: int,
+    heuristic: Callable[[int], float] | None = None,
+) -> tuple[float, int]:
     """One Bellman backup: min over actions of C(s,a) + E[V(successor)].
 
-    Reads the state's record and the table's dict directly; an unseen
-    successor gets the table's heuristic value, stored as on a table read.
+    Reads the state's record and `values` directly; an unseen successor
+    gets `heuristic(s2)` (0.0 without one), stored in `values`.
     Ties within a relative TIE_TOL break toward the lowest action id, so
     that rounding in the order of backups does not pick the action. Raises
     DeadEndError when the state has no applicable action (improper model).
@@ -230,8 +194,6 @@ def bellman_backup(problem: SspProblem, values: ValueTable, s: int) -> tuple[flo
     acts, costs, dists = problem.record(s)
     if not acts:
         raise DeadEndError(f"state {s} has no applicable action")
-    known = values._values
-    h = values.heuristic
     best_q = math.inf
     best_a = acts[0]
     # A later action must beat best_q by the tolerance. While best_q is inf
@@ -240,9 +202,9 @@ def bellman_backup(problem: SspProblem, values: ValueTable, s: int) -> tuple[flo
     for a, q, dist in zip(acts, costs, dists):
         for s2, p in dist:
             try:
-                v = known[s2]
+                v = values[s2]
             except KeyError:
-                v = known[s2] = float(h(s2)) if h is not None else 0.0
+                v = values[s2] = float(heuristic(s2)) if heuristic is not None else 0.0
             q += p * v
         if q < bound:
             best_q = q

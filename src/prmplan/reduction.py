@@ -161,7 +161,6 @@ class ReducedModel(SspProblem):
         # Records come from _build_record, so no expansion callback is kept.
         super().__init__(
             base.n_states,
-            base.n_actions,
             base.start,
             base.goals,
             expand_fn=None,

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mdp import DeadEndError, SspProblem, ValueTable
+from .mdp import DeadEndError, SspProblem
 from .reduction import ModelSelector, ReducedModel, build_reduced_model
 from .risk import RiskPredicate
 from .solvers import (
@@ -112,7 +112,7 @@ def _solve_reduced(
     reduced: ReducedModel,
     start: int,
     config: SolverConfig,
-    values: ValueTable | None = None,
+    values: dict[int, float] | None = None,
 ) -> Solution:
     """Solve the reduced model from one state, falling back gracefully.
 
@@ -146,7 +146,7 @@ def run_trial(
 
     `initial` may carry a precomputed solve of the reduced model from s0
     (its solve_time is charged as the trial's plan time); replanning keeps
-    the trial's own value table warm across re-solves. The trial stops
+    the trial's own value dict warm across re-solves. The trial stops
     after `step_cap` steps, by default 10 x base.n_states.
     """
     config = config or SimConfig()

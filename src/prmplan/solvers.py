@@ -27,7 +27,6 @@ from .mdp import (
     ModelError,
     Policy,
     SspProblem,
-    ValueTable,
     bellman_backup,
     compile_model,
 )
@@ -51,7 +50,7 @@ class SolverConfig:
 @dataclass
 class Solution:
     policy: Policy
-    values: ValueTable
+    values: dict[int, float]
     expanded_states: int
     solve_time: float
     start: int
@@ -113,7 +112,7 @@ def solve_value_iteration(
     minimal = q == np.minimum.reduceat(q, first)[_owners(model)]
     best = np.minimum.reduceat(np.where(minimal, np.arange(len(q)), len(q)), first)
     states = model.states.tolist()
-    values = ValueTable(config.heuristic, dict(zip(states, v.tolist())))
+    values = dict(zip(states, v.tolist()))
     actions = model.action[best].tolist()
     policy: Policy = {
         s: a for s, a, goal in zip(states, actions, model.goal.tolist()) if not goal
@@ -176,7 +175,7 @@ def solve_lao_star(
     problem: SspProblem,
     start: int | None = None,
     config: SolverConfig | None = None,
-    values: ValueTable | None = None,
+    values: dict[int, float] | None = None,
 ) -> Solution:
     """ILAO* (Hansen & Zilberstein 2001): one depth-first pass per iteration.
 
@@ -188,16 +187,20 @@ def solve_lao_star(
     epsilon, so the bound holds on the returned policy's envelope.
     `config.max_iterations` counts passes.
 
-    An existing ValueTable may be passed in for warm-started replanning; it
-    is updated in place. Improper inputs surface as NonconvergenceError
-    carrying the best greedy policy found: once the envelope is tip-free,
-    its residual stops halving when no goal is reachable along it.
+    A value dict may be passed in for warm-started replanning; it is
+    updated in place, and states new to it start at `config.heuristic`.
+    Improper inputs surface as NonconvergenceError carrying the best greedy
+    policy found: once the envelope is tip-free, its residual stops halving
+    when no goal is reachable along it.
     """
     config = config or SolverConfig()
     root = problem.start if start is None else start
     t0 = time.perf_counter()
-    v = values if values is not None else ValueTable(config.heuristic)
+    v = values if values is not None else {}
+    h = config.heuristic
     goals = problem.goals
+    if root in goals:
+        v[root] = 0.0  # no pass backs a goal up
     greedy: dict[int, int] = {}
     backups = 0
 
@@ -207,7 +210,7 @@ def solve_lao_star(
         nonlocal backups
         a = greedy.get(s)
         if a is None:
-            v[s], a = bellman_backup(problem, v, s)
+            v[s], a = bellman_backup(problem, v, s, h)
             greedy[s] = a
             backups += 1
         acts, _, dists = problem.record(s)
@@ -233,7 +236,7 @@ def solve_lao_star(
                         break
             else:
                 stack.pop()
-                val, a = bellman_backup(problem, v, s)
+                val, a = bellman_backup(problem, v, s, h)
                 diff = abs(val - v[s])
                 if diff > residual:
                     residual = diff
@@ -324,7 +327,7 @@ def solve_deterministic(
         raise DeadEndError(f"no goal reachable from state {root} in determinized model")
 
     policy: Policy = {}
-    values = ValueTable(heuristic)
+    values: dict[int, float] = {}
     total = g_cost[goal]
     s = goal
     values[s] = 0.0

@@ -75,7 +75,14 @@ def small_sailing():
 
 
 @pytest.fixture(scope="session")
-def small_ev():
-    from prmplan.domains import build_ev, generate_ev_scenarios
+def ev_scenario():
+    from prmplan.domains import generate_ev_scenarios
 
-    return build_ev(generate_ev_scenarios(1, seed=0)[0])
+    return generate_ev_scenarios(1, seed=0)[0]
+
+
+@pytest.fixture(scope="session")
+def small_ev(ev_scenario):
+    from prmplan.domains import build_ev
+
+    return build_ev(ev_scenario)

@@ -152,6 +152,14 @@ class TestExperiment:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("models", [",", "full,full", "full,rm01,full"])
+    def test_empty_or_repeated_models_exit_2(self, tmp_path, capsys, models):
+        argv = ["--domain", "sailing", "--instance", "6M", "--models", models]
+        code = main(["experiment", *argv, "--out", str(tmp_path / "x")])
+        assert code == 2
+        assert "--models" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     @pytest.mark.parametrize(
         "flag,value",
         [
@@ -162,6 +170,10 @@ class TestExperiment:
             ("--epsilon", "-1e-3"),
             ("--epsilon", "nan"),
             ("--epsilon", "inf"),
+            ("--seed", "-1"),
+            ("--threshold", "2"),
+            ("--threshold", "-0.1"),
+            ("--threshold", "nan"),
         ],
     )
     def test_walk_settings_below_one_exit_2(self, tmp_path, capsys, flag, value):

@@ -190,14 +190,13 @@ class TestEvModel:
             for a in problem.actions(s):
                 assert problem.cost(s, a) > 0.0
 
-    def test_full_charge_never_risky(self, small_ev):
+    def test_full_charge_never_risky(self, small_ev, ev_scenario):
         problem, predicate = small_ev
-        scenario = problem.scenario
         for s in reachable_states(problem):
             state = problem.states[s]
             if state in (DONE, VIOLATION):
                 continue
-            if state[1] == scenario.levels:
+            if state[1] == ev_scenario.levels:
                 assert not predicate(s)
 
     def test_goal_unreachable_inequality(self):
@@ -222,9 +221,9 @@ class TestEvModel:
         # e.g. idling at zero charge until two unannounced steps remain.
         assert risky_count > 0
 
-    def test_horizon_forces_departure(self, small_ev):
+    def test_horizon_forces_departure(self, small_ev, ev_scenario):
         problem, _ = small_ev
-        horizon = problem.scenario.horizon
+        horizon = ev_scenario.horizon
         for s in reachable_states(problem):
             state = problem.states[s]
             if state in (DONE, VIOLATION):
@@ -238,10 +237,8 @@ class TestEvModel:
                 continue
             assert len(problem.transition(s, 0)) == 1
 
-    def test_violation_penalty_dominates(self, small_ev):
-        problem, _ = small_ev
-        scenario = problem.scenario
-        assert scenario.penalty == pytest.approx(100.0 * scenario.r_max)
+    def test_violation_penalty_dominates(self, ev_scenario):
+        assert ev_scenario.penalty == pytest.approx(100.0 * ev_scenario.r_max)
 
     def test_scenario_json_round_trip(self):
         scenario = generate_ev_scenarios(1, seed=3)[0]

@@ -18,7 +18,6 @@ from prmplan import (
     SspProblem,
     TableSelector,
     UniformSelector,
-    ValueTable,
     bellman_backup,
     build_reduced_model,
     compile_model,
@@ -36,9 +35,10 @@ from prmplan.domains import build_instance
 REDUCTIONS = ("mlod", "m02", "rm01")
 
 
-def reference_backup(problem, values, s):
-    """The Bellman backup by plain loops over the per-pair API and
-    ValueTable reads: costs first, then outcomes in distribution order. The
+def reference_backup(problem, values, s, heuristic=None):
+    """The Bellman backup by plain loops over the per-pair API: costs
+    first, then outcomes in distribution order, each unseen successor
+    filled into `values` with its heuristic value (0.0 without one). The
     first action's Q is taken as is; a later action replaces the best only
     when its Q is lower by more than a relative 1e-12 (any finite Q beats
     an infinite best)."""
@@ -49,6 +49,8 @@ def reference_backup(problem, values, s):
     for a in acts:
         q = problem.cost(s, a)
         for s2, p in problem.transition(s, a):
+            if s2 not in values:
+                values[s2] = heuristic(s2) if heuristic is not None else 0.0
             q += p * values[s2]
         if best_a is None:
             best_q, best_a = q, a
@@ -122,12 +124,10 @@ class TestMakeDistribution:
 
 class TestBellmanBackup:
     def test_deterministic_chain(self, chain3):
-        values = ValueTable(values={1: 0.0, 2: 0.0})
-        assert bellman_backup(chain3, values, 1) == (1.0, 0)
+        assert bellman_backup(chain3, {1: 0.0, 2: 0.0}, 1) == (1.0, 0)
 
     def test_self_loop_single_backup(self, self_loop):
-        values = ValueTable()  # all zeros
-        value, action = bellman_backup(self_loop, values, 0)
+        value, action = bellman_backup(self_loop, {}, 0)  # all zeros
         assert value == pytest.approx(1.0)
         assert action == 0
 
@@ -142,19 +142,26 @@ class TestBellmanBackup:
             start=0,
             goals={1},
         )
-        _, action = bellman_backup(problem, ValueTable(), 0)
+        _, action = bellman_backup(problem, {}, 0)
         assert action == 0
 
     def test_dead_end_raises(self):
-        problem = SspProblem(
-            n_states=2,
-            n_actions=1,
-            start=0,
-            goals={1},
-            expand_fn=lambda s: [],
-        )
+        problem = SspProblem(n_states=2, start=0, goals={1}, expand_fn=lambda s: [])
         with pytest.raises(DeadEndError):
-            bellman_backup(problem, ValueTable(), 0)
+            bellman_backup(problem, {}, 0)
+
+    def test_heuristic_fill_stored_once(self, self_loop):
+        calls = []
+
+        def h(s):
+            calls.append(s)
+            return 7.0
+
+        values = {}
+        assert bellman_backup(self_loop, values, 0, h) == (1.0 + 7.0, 0)
+        assert bellman_backup(self_loop, values, 0, h) == (1.0 + 7.0, 0)
+        assert calls == [0, 1]
+        assert values == {0: 7.0, 1: 7.0}
 
     @given(st.floats(min_value=0.0, max_value=100.0), st.floats(min_value=0.0, max_value=100.0))
     def test_monotone_in_successor_values(self, low, high):
@@ -165,13 +172,13 @@ class TestBellmanBackup:
             goals={2},
         )
         lo, hi = min(low, high), max(low, high)
-        v_low, _ = bellman_backup(problem, ValueTable(values={1: lo, 2: 0.0}), 0)
-        v_high, _ = bellman_backup(problem, ValueTable(values={1: hi, 2: 0.0}), 0)
+        v_low, _ = bellman_backup(problem, {1: lo, 2: 0.0}, 0)
+        v_high, _ = bellman_backup(problem, {1: hi, 2: 0.0}, 0)
         assert v_high >= v_low
 
 
 class TestBackupKernel:
-    """bellman_backup reads per-state records and the table's dict; it must
+    """bellman_backup reads per-state records and the value dict; it must
     equal the per-pair reference bit for bit, heuristic fills included."""
 
     @staticmethod
@@ -184,7 +191,7 @@ class TestBackupKernel:
             start=0,
             goals={2},
         )
-        return bellman_backup(problem, ValueTable(lambda s: trap_value if s == 1 else 0.0), 0)
+        return bellman_backup(problem, {}, 0, lambda s: trap_value if s == 1 else 0.0)
 
     def test_near_ties_break_toward_lowest_action(self):
         assert self.two_action_state(1.0 + 7e-15, 1.0) == (1.0 + 7e-15, 0)
@@ -207,16 +214,16 @@ class TestBackupKernel:
 
             return h if heuristic is not None else None
 
-        kernel = ValueTable(counted(kernel_fills))
-        reference = ValueTable(counted(reference_fills))
+        kernel_h, reference_h = counted(kernel_fills), counted(reference_fills)
+        kernel, reference = {}, {}
         for _ in range(sweeps):
             for s in states:
-                got = bellman_backup(problem, kernel, s)
-                want = reference_backup(problem, reference, s)
+                got = bellman_backup(problem, kernel, s, kernel_h)
+                want = reference_backup(problem, reference, s, reference_h)
                 assert got == want, f"state {s}"
                 kernel[s] = got[0]
                 reference[s] = want[0]
-        assert kernel.known() == reference.known()
+        assert list(kernel.items()) == list(reference.items())
         assert kernel_fills == reference_fills
 
     @pytest.mark.parametrize("seed", range(4))
@@ -289,41 +296,20 @@ class TestStateRecord:
         reduced = build_reduced_model(problem, TableSelector({(0, 0): MOST_LIKELY}))
         for _ in range(3):
             with pytest.raises(SelectorError, match=r"s=0, a=1"):
-                bellman_backup(reduced, ValueTable(), 0)
+                bellman_backup(reduced, {}, 0)
         with pytest.raises(SelectorError, match=r"s=0, a=1"):
             reduced.record(0)
 
     def test_model_error_names_the_pair(self):
         problem = SspProblem(
             n_states=2,
-            n_actions=2,
             start=0,
             goals={1},
             expand_fn=lambda s: [(0, 1.0, [(1, 1.0)]), (1, 1.0, [(1, 0.5)])],
         )
         for _ in range(2):
             with pytest.raises(ModelError, match=r"s=0, a=1"):
-                bellman_backup(problem, ValueTable(), 0)
-
-
-class TestValueTable:
-    def test_heuristic_fallback_cached(self):
-        calls = []
-
-        def h(s):
-            calls.append(s)
-            return 7.0
-
-        table = ValueTable(h)
-        assert table[3] == 7.0
-        assert table[3] == 7.0
-        assert calls == [3]
-
-    def test_copy_is_independent(self):
-        table = ValueTable(values={0: 1.0})
-        clone = table.copy()
-        clone[0] = 9.0
-        assert table[0] == 1.0
+                bellman_backup(problem, {}, 0)
 
 
 class TestReachability:
@@ -365,7 +351,6 @@ class TestValidateProblem:
     def test_bad_normalization_reported(self):
         problem = SspProblem(
             n_states=2,
-            n_actions=1,
             start=0,
             goals={1},
             expand_fn=lambda s: [(0, 0.0, [(1, 1.0)])] if s == 1 else [(0, 1.0, [(1, 0.9)])],
@@ -378,7 +363,6 @@ class TestValidateProblem:
         """s0 -> goal(1), whose self-loop carries only half the mass."""
         return SspProblem(
             n_states=2,
-            n_actions=1,
             start=0,
             goals={1},
             expand_fn=lambda s: [(0, 0.0, [(1, 0.5)])] if s == 1 else [(0, 1.0, [(1, 1.0)])],

@@ -6,6 +6,7 @@ import pytest
 
 from prmplan import (
     FULL_MODEL,
+    M02,
     MOST_LIKELY,
     ModelResult,
     ModelSelector,
@@ -19,6 +20,7 @@ from prmplan import (
     build_reduced_model,
     run_experiment,
     run_trial,
+    solve_lao_star,
     solve_value_iteration,
     tabular_problem,
 )
@@ -98,6 +100,33 @@ class TestRunTrial:
         )
         assert not stats.reached_goal
         assert stats.steps == 0
+
+    def test_replans_leave_initial_values_unchanged(self):
+        # M02 drops s0's least likely outcome, state 4: a trial that lands
+        # there replans with LAO*, warm-started from its own copy of the
+        # initial values.
+        problem = tabular_problem(
+            transitions={
+                (0, 0): [(1, 0.5), (2, 0.3), (4, 0.2)],
+                (1, 0): [(3, 1.0)],
+                (2, 0): [(3, 1.0)],
+                (4, 0): [(3, 1.0)],
+            },
+            costs={(0, 0): 1.0, (1, 0): 1.0, (2, 0): 1.0, (4, 0): 1.0},
+            start=0,
+            goals={3},
+        )
+        predicate = RiskPredicate(evaluate=lambda s: False)
+        reduced = build_reduced_model(problem, UniformSelector(M02))
+        initial = solve_lao_star(reduced)
+        assert 4 not in initial.values
+        before = dict(initial.values)
+        replans = 0
+        for seed in range(20):
+            stats = run_trial(problem, reduced, predicate, seed=seed, initial=initial)
+            replans += stats.replans
+        assert replans > 0
+        assert initial.values == before
 
     def test_seed_determinism(self, risky_fork):
         problem, predicate = risky_fork

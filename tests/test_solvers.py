@@ -137,6 +137,11 @@ class TestLaoStar:
         assert solution.start_value == pytest.approx(2.0, abs=2 * EPS)
         assert solution.values[1] == pytest.approx(1.0, abs=2 * EPS)
 
+    def test_goal_start_value_is_zero(self, chain3):
+        solution = solve_lao_star(chain3, start=2)
+        assert solution.start_value == 0.0
+        assert solution.policy == {}
+
     def test_self_loop_value(self, self_loop):
         solution = solve_lao_star(self_loop)
         assert solution.start_value == pytest.approx(2.0, abs=2 * EPS)
@@ -242,7 +247,7 @@ class TestLaoStarInvariants:
                         stack.append(s2)
             values = solution.values.copy()
             for s in policy:
-                best, _ = bellman_backup(problem, values, s)
+                best, _ = bellman_backup(problem, values, s, hmin)
                 residual = abs(best - solution.values[s])
                 assert residual < TIGHT_EPS, f"{label}: state {s} residual {residual:.2e}"
                 q = problem.cost(s, policy[s]) + sum(
