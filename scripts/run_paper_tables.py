@@ -16,6 +16,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from prmplan import SimConfig, run_experiment  # noqa: E402
 from prmplan.cli import (  # noqa: E402
+    RM01_DEFAULTS,
     _align_columns,
     _at_least_one,
     _make_selector,
@@ -25,8 +26,7 @@ from prmplan.domains import desk_instances, large_instances  # noqa: E402
 
 
 def evaluate(name, problem, predicate, model_names, trials, seed, jobs):
-    # The CLI's default risk-estimation settings and rm01 threshold.
-    args = argparse.Namespace(samples=30, depth=4, seed=seed, threshold=0.25)
+    args = argparse.Namespace(seed=seed, **RM01_DEFAULTS)
     models = [(n, _make_selector(n, problem, predicate, args)) for n in model_names]
     report = run_experiment(
         problem,
@@ -69,7 +69,7 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trials", type=_at_least_one, default=100)
     parser.add_argument("--seed", type=_non_negative, default=0)
-    parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--jobs", type=_at_least_one, default=1)
     parser.add_argument(
         "--skip-large",
         action="store_true",

@@ -10,6 +10,7 @@ from .mdp import (
     compile_model,
     make_distribution,
     reachable_states,
+    search_problem,
     tabular_problem,
     validate_problem,
 )

@@ -29,6 +29,9 @@ from .solvers import SolverConfig, compute_hmin, solve_value_iteration
 
 MODEL_NAMES = ("full", "mlod", "m02", "rm01")
 
+# rm01's risk-estimation settings and threshold where no flag overrides them.
+RM01_DEFAULTS = {"threshold": 0.25, "samples": 30, "depth": 4}
+
 TRIAL_FIELDS = (
     "model",
     "trial",
@@ -96,14 +99,20 @@ def _add_instance_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--threshold",
         type=_probability,
-        default=0.25,
+        default=RM01_DEFAULTS["threshold"],
         help="risk reachability threshold for the rm01 selector",
     )
     sub.add_argument(
-        "--samples", type=_at_least_one, default=30, help="random walks per state (rm01)"
+        "--samples",
+        type=_at_least_one,
+        default=RM01_DEFAULTS["samples"],
+        help="random walks per state (rm01)",
     )
     sub.add_argument(
-        "--depth", type=_at_least_one, default=4, help="random walk depth (rm01)"
+        "--depth",
+        type=_at_least_one,
+        default=RM01_DEFAULTS["depth"],
+        help="random walk depth (rm01)",
     )
     sub.add_argument("--seed", type=_non_negative, default=0, help="master random seed")
 
@@ -142,7 +151,9 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument(
         "--trials", type=_at_least_one, default=100, help="trials per model"
     )
-    experiment.add_argument("--jobs", type=int, default=1, help="concurrent trial runners")
+    experiment.add_argument(
+        "--jobs", type=_at_least_one, default=1, help="concurrent trial runners"
+    )
     experiment.add_argument(
         "--out", default="results", help="output directory for report files"
     )

@@ -136,15 +136,16 @@ VIOLATION = ("violation",)
 
 
 def build_ev(scenario: EvScenario) -> tuple[SspProblem, RiskPredicate]:
-    """Unroll the scenario into an SSP and its goal-unreachable risk predicate."""
+    """Unroll the scenario into an SSP and its goal-unreachable risk predicate.
+
+    One `expand(state)` states the dynamics, VIOLATION -> DONE included;
+    the numbering loop and the problem's callback both read it.
+    """
     scenario.validate()
     horizon = scenario.horizon
     levels = scenario.levels
     goal_charge = scenario.goal_charge
     r_max = scenario.r_max
-
-    def departure(level: int):
-        return DONE if level >= goal_charge else VIOLATION
 
     def announce_branches(t: int) -> list[tuple[int, float]]:
         q = scenario.announce_prob(t)
@@ -181,21 +182,34 @@ def build_ev(scenario: EvScenario) -> tuple[SspProblem, RiskPredicate]:
             for e2, pe in e_branches:
                 prob = pdp * pe
                 if e2 == 0 or t + 1 == horizon:
-                    succ = departure(level)
+                    succ = DONE if level >= goal_charge else VIOLATION
                 else:
                     succ = ("s", level, t + 1, d2, p2, e2)
                 merged[succ] = merged.get(succ, 0.0) + prob
         return merged
 
-    def applicable(state) -> list[int]:
+    def expand(state):
         if state == VIOLATION:
-            return [SETTLE]
-        l = state[1]
+            yield SETTLE, scenario.penalty, {DONE: 1.0}
+            return
+        l, t, d, p = state[1:5]
         acts = [IDLE]
         acts += [i for i in range(1, MAX_RATE + 1) if l + i <= levels]
         acts += [3 + i for i in range(1, MAX_RATE + 1) if l - i >= 0]
-        return acts
+        for a in acts:
+            if a == IDLE:
+                reward = 0.0
+            elif a <= 3:
+                reward = -scenario.buy_price[t][d][p] * a
+            else:
+                reward = scenario.sell_price[t][d][p] * (a - 3) * (1.0 - scenario.inefficiency)
+            yield a, r_max - reward, successors(state, a)
 
+    # Depth-first (LIFO) numbering, kept rather than search_problem's
+    # breadth-first one: ids seed each state's risk walks ([seed, s]) and
+    # order every distribution, and breadth-first order would keep only 74
+    # of gen-1's 3,076 ids. Every state departs by the horizon, so DONE is
+    # always reached.
     start_state = (
         "s",
         scenario.start_charge,
@@ -206,50 +220,25 @@ def build_ev(scenario: EvScenario) -> tuple[SspProblem, RiskPredicate]:
     )
     index: dict[tuple, int] = {start_state: 0}
     states: list[tuple] = [start_state]
-    queue = [start_state]
-    while queue:
-        state = queue.pop()
+    stack = [start_state]
+    while stack:
+        state = stack.pop()
         if state == DONE:
             continue
-        for a in applicable(state):
-            succ_iter = [DONE] if state == VIOLATION else successors(state, a)
-            for succ in succ_iter:
+        for _, _, outcomes in expand(state):
+            for succ in outcomes:
                 if succ not in index:
                     index[succ] = len(states)
                     states.append(succ)
-                    queue.append(succ)
-    done_id = index.get(DONE)
-    if done_id is None:
-        done_id = len(states)
-        index[DONE] = done_id
-        states.append(DONE)
+                    stack.append(succ)
 
     def expand_fn(s: int):
-        state = states[s]
-        if state == DONE:
-            return [(IDLE, 0.0, [(s, 1.0)])]
-        if state == VIOLATION:
-            return [(SETTLE, scenario.penalty, [(done_id, 1.0)])]
-        t, d, p = state[2:5]
-        entries = []
-        for a in applicable(state):
-            if a == IDLE:
-                reward = 0.0
-            elif a <= 3:
-                reward = -scenario.buy_price[t][d][p] * a
-            else:
-                reward = scenario.sell_price[t][d][p] * (a - 3) * (1.0 - scenario.inefficiency)
-            outcomes = [(index[succ], prob) for succ, prob in successors(state, a).items()]
-            entries.append((a, r_max - reward, outcomes))
-        return entries
+        return [
+            (a, c, [(index[succ], p) for succ, p in outcomes.items()])
+            for a, c, outcomes in expand(states[s])
+        ]
 
-    problem = SspProblem(
-        n_states=len(states),
-        start=0,
-        goals={done_id},
-        expand_fn=expand_fn,
-        name=scenario.name,
-    )
+    problem = SspProblem(len(states), 0, {index[DONE]}, expand_fn, name=scenario.name)
     problem.states = states
 
     def risky(s: int) -> bool:

@@ -11,10 +11,9 @@ drivable cells where deliberation is unsafe.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
-from ..mdp import SspProblem
+from ..mdp import SspProblem, search_problem
 from ..risk import RiskPredicate
 
 
@@ -99,7 +98,12 @@ def build_racetrack(
     max_speed: int = 5,
     name: str = "racetrack",
 ) -> tuple[SspProblem, RiskPredicate]:
-    """Enumerate the reachable racetrack SSP and its pothole risk predicate."""
+    """The reachable racetrack SSP and its pothole risk predicate.
+
+    One `expand(state)` states the dynamics: each action's acceleration
+    mixture is built once per track, and per state each of the nine
+    accelerations is moved once. `search_problem` numbers the states.
+    """
     track = parse_track(map_text)
     intended_prob = 1.0 - slip_prob - perturb_prob
     if intended_prob <= 0.0:
@@ -116,64 +120,42 @@ def build_racetrack(
             cx, cy = px, py
         return (nx, ny, vx, vy)
 
-    def successors(state: tuple[int, int, int, int], action: tuple[int, int]):
-        x, y, vx, vy = state
-        ax, ay = action
+    def mixture(action: tuple[int, int]) -> tuple[tuple[tuple[int, int], float], ...]:
+        """The executed accelerations of an action and their probabilities."""
         accels: dict[tuple[int, int], float] = {action: intended_prob}
         if slip_prob > 0.0:
             accels[(0, 0)] = accels.get((0, 0), 0.0) + slip_prob
         if perturb_prob > 0.0:
-            variants = _accel_variants(ax, ay)
+            variants = _accel_variants(*action)
             share = perturb_prob / len(variants)
             for var in variants:
                 accels[var] = accels.get(var, 0.0) + share
-        merged: dict[tuple[int, int, int, int], float] = {}
-        for (bx, by), prob in accels.items():
-            nvx = max(-max_speed, min(max_speed, vx + bx))
-            nvy = max(-max_speed, min(max_speed, vy + by))
-            succ = move(x, y, nvx, nvy)
-            merged[succ] = merged.get(succ, 0.0) + prob
-        return merged
+        return tuple(accels.items())
 
-    start_state = (track.start[0], track.start[1], 0, 0)
-    index: dict[tuple[int, int, int, int], int] = {start_state: 0}
-    states: list[tuple[int, int, int, int]] = [start_state]
-    queue = deque([start_state])
-    goal_ids: set[int] = set()
-    if (track.start[0], track.start[1]) in track.goal_cells:
-        goal_ids.add(0)
-    while queue:
-        state = queue.popleft()
-        if (state[0], state[1]) in track.goal_cells:
-            continue
-        for action in ACTIONS:
-            for succ in successors(state, action):
-                if succ not in index:
-                    index[succ] = len(states)
-                    states.append(succ)
-                    queue.append(succ)
-                    if (succ[0], succ[1]) in track.goal_cells:
-                        goal_ids.add(index[succ])
+    mixtures = [mixture(action) for action in ACTIONS]
 
-    def expand_fn(s: int):
-        if s in goal_ids:
-            return [(a, 0.0, [(s, 1.0)]) for a in range(len(ACTIONS))]
-        return [
-            (a, 1.0, [(index[succ], p) for succ, p in successors(states[s], action).items()])
-            for a, action in enumerate(ACTIONS)
-        ]
+    def clamp(v: int) -> int:
+        return max(-max_speed, min(max_speed, v))
 
-    problem = SspProblem(
-        n_states=len(states),
-        start=0,
-        goals=goal_ids,
-        expand_fn=expand_fn,
+    def expand(state: tuple[int, int, int, int]):
+        x, y, vx, vy = state
+        moved = {(bx, by): move(x, y, clamp(vx + bx), clamp(vy + by)) for bx, by in ACTIONS}
+        for a, accels in enumerate(mixtures):
+            merged: dict[tuple[int, int, int, int], float] = {}
+            for accel, prob in accels:
+                succ = moved[accel]
+                merged[succ] = merged.get(succ, 0.0) + prob
+            yield a, 1.0, merged
+
+    problem = search_problem(
+        (track.start[0], track.start[1], 0, 0),
+        expand,
+        lambda state: (state[0], state[1]) in track.goal_cells,
         name=name,
     )
-    problem.states = states  # id -> (x, y, vx, vy), for debugging and predicates
-
+    # problem.states maps each id to its (x, y, vx, vy).
     pothole_ids = frozenset(
-        i for i, st in enumerate(states) if (st[0], st[1]) in track.pothole_cells
+        i for i, st in enumerate(problem.states) if (st[0], st[1]) in track.pothole_cells
     )
     predicate = RiskPredicate(evaluate=pothole_ids.__contains__, name=f"{name}-potholes")
     return problem, predicate

@@ -10,9 +10,7 @@ off-grid is the domain's risk.
 
 from __future__ import annotations
 
-from collections import deque
-
-from ..mdp import SspProblem
+from ..mdp import SspProblem, search_problem
 from ..risk import RiskPredicate
 
 DIRECTIONS = ((1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1))
@@ -32,7 +30,9 @@ def build_sailing(
     name: str = "",
 ) -> tuple[SspProblem, RiskPredicate]:
     """Sailing SSP on a size x size grid with the goal at the opposite
-    corner ("corner") or the center ("middle")."""
+    corner ("corner") or the center ("middle"). `expand(state)` is the one
+    place that states applicability and wind; `search_problem` numbers
+    the states."""
     if size < 4:
         raise ValueError(f"grid size {size} too small; need >= 4")
     goal_pos = goal_pos.lower()
@@ -47,59 +47,26 @@ def build_sailing(
     def on_grid(x: int, y: int) -> bool:
         return 0 <= x < size and 0 <= y < size
 
-    # State = (x, y, wind); enumerate everything reachable from the start.
-    start_state = (0, 0, 0)
-    index: dict[tuple[int, int, int], int] = {start_state: 0}
-    states: list[tuple[int, int, int]] = [start_state]
-    goal_ids: set[int] = set()
-    queue = deque([start_state])
-    while queue:
-        x, y, w = queue.popleft()
-        if (x, y) == goal_xy:
-            continue
-        for m, (dx, dy) in enumerate(DIRECTIONS):
-            if _angular_diff(m, w) == 4 or not on_grid(x + dx, y + dy):
-                continue
-            for w2 in ((w - 1) % 8, w, (w + 1) % 8):
-                succ = (x + dx, y + dy, w2)
-                if succ not in index:
-                    index[succ] = len(states)
-                    states.append(succ)
-                    queue.append(succ)
-                    if (succ[0], succ[1]) == goal_xy:
-                        goal_ids.add(index[succ])
-
-    def expand_fn(s: int):
-        if s in goal_ids:
-            return [(m, 0.0, [(s, 1.0)]) for m in range(8)]
-        x, y, w = states[s]
-        entries = []
+    def expand(state: tuple[int, int, int]):  # state = (x, y, wind)
+        x, y, w = state
         for m, (dx, dy) in enumerate(DIRECTIONS):
             nx, ny = x + dx, y + dy
             diff = _angular_diff(m, w)
             if diff == 4 or not on_grid(nx, ny):
                 continue
-            outcomes = [
-                (index[(nx, ny, (w - 1) % 8)], WIND_ROTATE),
-                (index[(nx, ny, w)], WIND_STAY),
-                (index[(nx, ny, (w + 1) % 8)], WIND_ROTATE),
-            ]
-            entries.append((m, TACK_COST[diff], outcomes))
-        return entries
+            outcomes = {
+                (nx, ny, (w - 1) % 8): WIND_ROTATE,
+                (nx, ny, w): WIND_STAY,
+                (nx, ny, (w + 1) % 8): WIND_ROTATE,
+            }
+            yield m, TACK_COST[diff], outcomes
 
-    problem = SspProblem(
-        n_states=len(states),
-        start=0,
-        goals=goal_ids,
-        expand_fn=expand_fn,
-        name=name,
-    )
-    problem.states = states
+    problem = search_problem((0, 0, 0), expand, lambda state: state[:2] == goal_xy, name=name)
 
     def risky(s: int) -> bool:
-        if s in goal_ids:
+        if problem.is_goal(s):
             return False
-        x, y, w = states[s]
+        x, y, w = problem.states[s]
         wx, wy = DIRECTIONS[w]
         return not on_grid(x + wx, y + wy)
 

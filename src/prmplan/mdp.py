@@ -1,13 +1,16 @@
 """Core stochastic shortest path model: problems, values, policies, backups.
 
 States and actions are dense integer ids within one problem instance.
-A domain supplies one callback, `expand_fn(s)`, that yields
-`(action, cost, outcomes)` for every applicable action of s, goals
-included. Each problem keeps one memo: the per-state record built from
-that callback on first use, and the `CompiledModel` that `compile_model`
-flattens from them once per root. The Bellman kernel, LAO*, A* and the
-model walkers read records; value iteration, h_min and the risk walker read
-the compiled model. The per-pair API (`actions`, `cost`, `transition`) is a
+A problem reads one callback, `expand_fn(s)`, that yields
+`(action, cost, outcomes)` for every applicable action of a non-goal s;
+each goal is made absorbing by one zero-cost self-loop. Domain builders
+state their dynamics once, as `expand(state)` over their own state
+objects; `search_problem` numbers the states it reaches and wraps it as
+the callback. Each problem keeps one memo: the per-state record built on
+first use, and the `CompiledModel` that `compile_model` flattens from
+them once per root. The Bellman kernel, LAO*, A* and the model walkers
+read records; value iteration, h_min and the risk walker read the
+compiled model. The per-pair API (`actions`, `cost`, `transition`) is a
 view of the records.
 """
 
@@ -16,7 +19,7 @@ from __future__ import annotations
 import math
 from array import array
 from collections import deque
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Hashable, Iterable, Mapping
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -73,13 +76,13 @@ class SspProblem:
     """Explicit-state SSP ⟨states, actions, transition, cost, start, goals⟩.
 
     `expand_fn(s)` yields `(action, cost, outcomes)` for every applicable
-    action of s, in any order; a goal yields zero-cost self-loops.
+    action of a non-goal s, in any order; it is never called on a goal.
     `record(s)` holds those actions in id order, their costs and their
-    validated distributions, memoized per state; `actions`, `cost` and
-    `transition` read it. `compile_model` memoizes its flat arrays beside
-    the records. Immutable after construction (the memos fill
-    idempotently), so one instance can back any number of concurrent solves
-    and trials.
+    validated distributions, memoized per state; a goal's record is one
+    zero-cost self-loop on action 0. `actions`, `cost` and `transition`
+    read it. `compile_model` memoizes its flat arrays beside the records.
+    Immutable after construction (the memos fill idempotently), so one
+    instance can back any number of concurrent solves and trials.
     """
 
     def __init__(
@@ -111,6 +114,8 @@ class SspProblem:
         return rec
 
     def _build_record(self, s: int) -> StateRecord:
+        if s in self.goals:
+            return (0,), (0.0,), (((s, 1.0),),)
         entries = sorted(self._expand_fn(s), key=itemgetter(0))
         dists = []
         for a, _, outcomes in entries:
@@ -148,8 +153,8 @@ def tabular_problem(
 ) -> SspProblem:
     """Build a problem from explicit dicts keyed by (state, action).
 
-    Goal states need no entries: they get a zero-cost self-loop on action 0
-    automatically. Mainly for tests and hand-built desk examples.
+    Goal states need no entries: `SspProblem` makes them absorbing. Mainly
+    for tests and hand-built desk examples.
     """
     goals = frozenset(goals)
     per_state: dict[int, list[int]] = {}
@@ -164,8 +169,6 @@ def tabular_problem(
         hi_s = max(hi_s, g)
 
     def expand_fn(s: int) -> list[tuple[int, float, Iterable[Outcome]]]:
-        if s in goals:
-            return [(0, 0.0, [(s, 1.0)])]
         return [(a, costs[(s, a)], transitions[(s, a)]) for a in per_state.get(s, [])]
 
     return SspProblem(
@@ -175,6 +178,43 @@ def tabular_problem(
         expand_fn=expand_fn,
         name=name,
     )
+
+
+def search_problem(
+    start: Hashable,
+    expand: Callable[[Hashable], Iterable[tuple[int, float, Mapping[Hashable, float]]]],
+    is_goal: Callable[[Hashable], bool],
+    name: str = "",
+) -> SspProblem:
+    """Number the states reachable from `start` and build their problem.
+
+    `expand(state)` yields `(action, cost, {successor_state: p})` for every
+    applicable action of a non-goal state; it is never called on a goal.
+    States get ids breadth-first in order of discovery, start = 0, and
+    `problem.states[i]` is the state with id i.
+    """
+    index = {start: 0}
+    states = [start]
+    goals = []
+    for i, state in enumerate(states):  # states grows while it is walked
+        if is_goal(state):
+            goals.append(i)
+            continue
+        for _, _, outcomes in expand(state):
+            for succ in outcomes:
+                if succ not in index:
+                    index[succ] = len(states)
+                    states.append(succ)
+
+    def expand_fn(s: int) -> list[tuple[int, float, list[Outcome]]]:
+        return [
+            (a, c, [(index[succ], p) for succ, p in outcomes.items()])
+            for a, c, outcomes in expand(states[s])
+        ]
+
+    problem = SspProblem(len(states), 0, goals, expand_fn, name=name)
+    problem.states = states
+    return problem
 
 
 def bellman_backup(
@@ -323,9 +363,9 @@ def _flatten(problem: SspProblem, root: int) -> CompiledModel:
 def validate_problem(problem: SspProblem) -> list[str]:
     """Check model well-formedness; violations are returned, not raised.
 
-    Covers: distribution normalization, absorbing zero-cost goals, positive
-    non-goal costs, no dead ends, and properness (a goal is reachable from
-    every state reachable from s0).
+    Covers: distribution normalization, positive non-goal costs, no dead
+    ends, and properness (a goal is reachable from every state reachable
+    from s0). Goals are absorbing by construction.
     """
     violations: list[str] = []
     try:
@@ -335,23 +375,14 @@ def validate_problem(problem: SspProblem) -> list[str]:
 
     successors: dict[int, list[int]] = {}
     for s in states:
-        # Only goal records can fail here: the sweep built every other one.
-        try:
-            acts, costs, dists = problem.record(s)
-        except ModelError as exc:
-            violations.append(f"normalization violation {exc}")
+        if problem.is_goal(s):
             continue
+        acts, costs, dists = problem.record(s)
         if not acts:
             violations.append(f"dead end: state {s} has no applicable action")
             continue
-        goal = problem.is_goal(s)
-        for a, c, dist in zip(acts, costs, dists):
-            if goal:
-                if c != 0.0:
-                    violations.append(f"goal cost violation: cost({s},{a}) = {c} != 0")
-                if dist != ((s, 1.0),):
-                    violations.append(f"goal absorption violation at (s={s}, a={a})")
-            elif not c > 0.0:
+        for a, c in zip(acts, costs):
+            if not c > 0.0:
                 violations.append(f"cost sign violation: cost({s},{a}) = {c} <= 0")
         successors[s] = [s2 for dist in dists for s2, _ in dist]
 

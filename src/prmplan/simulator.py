@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .mdp import DeadEndError, SspProblem
-from .reduction import ModelSelector, ReducedModel, build_reduced_model
+from .reduction import FULL_MODEL, ModelSelector, ReducedModel, UniformSelector
 from .risk import RiskPredicate
 from .solvers import (
     NonconvergenceError,
@@ -132,6 +132,16 @@ def _solve_reduced(
         return exc.solution
 
 
+def _initial_plan(reduced: ReducedModel, config: SolverConfig) -> Solution:
+    """The plan of a reduced model from s0, its solve_time set to the whole
+    call, fallbacks included. run_experiment times t_full and every model's
+    initial plan here, each on a fresh reduction."""
+    t0 = time.perf_counter()
+    initial = _solve_reduced(reduced, reduced.start, config)
+    initial.solve_time = time.perf_counter() - t0
+    return initial
+
+
 def run_trial(
     base: SspProblem,
     reduced: ReducedModel,
@@ -156,11 +166,8 @@ def run_trial(
     stats = TrialStats(seed=seed)
 
     if initial is None:
-        t0 = time.perf_counter()
-        initial = _solve_reduced(reduced, base.start, solver_cfg)
-        stats.plan_time = time.perf_counter() - t0
-    else:
-        stats.plan_time = initial.solve_time
+        initial = _initial_plan(reduced, solver_cfg)
+    stats.plan_time = initial.solve_time
     policy = dict(initial.policy)
     values = initial.values.copy()
 
@@ -219,11 +226,11 @@ def run_experiment(
 
     Per model: build the reduced model, solve it once from s0 (the shared
     initial plan), run `trials` independently-seeded execution trials, and
-    aggregate. The full-model baseline solve time and V*(s0) anchor the
-    %-time-savings and %-cost-increase columns. A model whose reduction or
-    initial solve raises is marked failed; a trial that raises is recorded
-    with its `failure` set and reached_goal false, and left out of the
-    model's means.
+    aggregate. t_full, the initial plan time of one more fresh `full`
+    reduction, and V*(s0) anchor the %-time-savings and %-cost-increase
+    columns. A model whose reduction or initial solve raises is marked
+    failed; a trial that raises is recorded with its `failure` set and
+    reached_goal false, and left out of the model's means.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -234,18 +241,14 @@ def run_experiment(
     optimal = optimal_start_value(base, config)
     solver_cfg = config.solver_config(heuristic)
 
-    t0 = time.perf_counter()
-    solve_lao_star(base, config=solver_cfg)
-    t_full = time.perf_counter() - t0
+    t_full = _initial_plan(ReducedModel(base, UniformSelector(FULL_MODEL)), solver_cfg).solve_time
 
     results: list[ModelResult] = []
     for name, selector in models:
         result = ModelResult(name=name)
         try:
-            reduced = build_reduced_model(base, selector, name=name)
-            plan_t0 = time.perf_counter()
-            initial = _solve_reduced(reduced, base.start, solver_cfg)
-            initial.solve_time = time.perf_counter() - plan_t0
+            reduced = ReducedModel(base, selector, name=name)
+            initial = _initial_plan(reduced, solver_cfg)
         except Exception as exc:  # noqa: BLE001 - failed models must not stop others
             result.failed = True
             result.failure = f"{type(exc).__name__}: {exc}"

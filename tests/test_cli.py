@@ -174,6 +174,8 @@ class TestExperiment:
             ("--threshold", "2"),
             ("--threshold", "-0.1"),
             ("--threshold", "nan"),
+            ("--jobs", "0"),
+            ("--jobs", "-3"),
         ],
     )
     def test_walk_settings_below_one_exit_2(self, tmp_path, capsys, flag, value):

@@ -24,7 +24,9 @@ from prmplan import (
     compute_hmin,
     make_distribution,
     reachable_states,
+    search_problem,
     select_outcomes,
+    solve_lao_star,
     solve_value_iteration,
     tabular_problem,
     validate_problem,
@@ -250,7 +252,9 @@ class TestBackupKernel:
 def expected_record(problem, s):
     """The record of s rebuilt from the base's raw domain callback and, on
     a reduced model, cut by the selector: a distribution kept whole stays
-    as it is, a cut one is renormalized."""
+    as it is, a cut one is renormalized. A goal's is its self-loop."""
+    if problem.is_goal(s):
+        return (0,), (0.0,), (((s, 1.0),),)
     base = getattr(problem, "base", problem)
     expanded = {a: (c, outcomes) for a, c, outcomes in base._expand_fn(s)}
     acts = tuple(sorted(expanded))
@@ -312,6 +316,72 @@ class TestStateRecord:
                 bellman_backup(problem, {}, 0)
 
 
+def raising_on(goal, transitions):
+    """An expand over `transitions` ({state: [(action, cost, outcomes)]})
+    that logs each state it is called on and raises on the goal."""
+    calls = []
+
+    def expand(state):
+        calls.append(state)
+        if state == goal:
+            raise AssertionError("expand called on the goal")
+        return transitions[state]
+
+    return expand, calls
+
+
+class TestSearchProblem:
+    # "s" reaches "y" and "x" by action 0 and "z" by action 1; "g" is the goal.
+    TRANSITIONS = {
+        "s": [(0, 1.0, {"y": 0.5, "x": 0.5}), (1, 2.0, {"z": 1.0})],
+        "y": [(0, 1.0, {"g": 1.0})],
+        "x": [(0, 1.0, {"w": 1.0})],
+        "z": [(0, 1.0, {"x": 0.25, "s": 0.75})],
+        "w": [(0, 1.0, {"g": 1.0})],
+    }
+
+    def test_ids_follow_breadth_first_discovery(self):
+        expand, calls = raising_on("g", self.TRANSITIONS)
+        problem = search_problem("s", expand, lambda state: state == "g", name="hand")
+        assert problem.states == ["s", "y", "x", "z", "g", "w"]
+        assert calls == ["s", "y", "x", "z", "w"]
+        assert (problem.n_states, problem.start, problem.goals) == (6, 0, {4})
+        assert problem.name == "hand"
+
+    def test_records_map_back_to_states(self):
+        expand, _ = raising_on("g", self.TRANSITIONS)
+        problem = search_problem("s", expand, lambda state: state == "g")
+        ids = {state: i for i, state in enumerate(problem.states)}
+        for i, state in enumerate(problem.states):
+            if state == "g":
+                assert problem.record(i) == ((0,), (0.0,), (((i, 1.0),),))
+                continue
+            want = [
+                (a, c, make_distribution((ids[succ], p) for succ, p in outcomes.items()))
+                for a, c, outcomes in self.TRANSITIONS[state]
+            ]
+            assert list(zip(*problem.record(i))) == want, state
+
+    def test_goal_never_expanded_when_solving(self):
+        expand, _ = raising_on("g", self.TRANSITIONS)
+        problem = search_problem("s", expand, lambda state: state == "g")
+        lao = solve_lao_star(problem, config=SolverConfig(epsilon=1e-9))
+        vi = solve_value_iteration(problem, SolverConfig(epsilon=1e-9))
+        assert lao.start_value == pytest.approx(vi.start_value, abs=1e-6)
+        assert validate_problem(problem) == []
+
+    def test_hand_built_goal_needs_no_expand_fn(self):
+        # A hand-built problem whose callback raises on its goal solves too.
+        def expand_fn(s):
+            if s == 2:
+                raise AssertionError("expand_fn called on the goal")
+            return [(0, 1.0, [(s + 1, 1.0)])]
+
+        problem = SspProblem(n_states=3, start=0, goals={2}, expand_fn=expand_fn)
+        assert solve_lao_star(problem).start_value == pytest.approx(2.0)
+        assert solve_value_iteration(problem).start_value == pytest.approx(2.0)
+
+
 class TestReachability:
     def test_bfs_order_from_start(self, chain3):
         assert reachable_states(chain3) == [0, 1, 2]
@@ -345,8 +415,7 @@ class TestValidateProblem:
         assert validate_problem(chain3) == []
 
     def test_goals_absorb_in_tabular(self, chain3):
-        assert chain3.transition(2, 0) == ((2, 1.0),)
-        assert chain3.cost(2, 0) == 0.0
+        assert chain3.record(2) == ((0,), (0.0,), (((2, 1.0),),))
 
     def test_bad_normalization_reported(self):
         problem = SspProblem(
@@ -358,23 +427,13 @@ class TestValidateProblem:
         violations = validate_problem(problem)
         assert any("s=0" in v and "mass" in v for v in violations)
 
-    @staticmethod
-    def goal_with_half_mass():
-        """s0 -> goal(1), whose self-loop carries only half the mass."""
-        return SspProblem(
-            n_states=2,
-            start=0,
-            goals={1},
-            expand_fn=lambda s: [(0, 0.0, [(1, 0.5)])] if s == 1 else [(0, 1.0, [(1, 1.0)])],
-        )
-
-    def test_malformed_goal_distribution_reported(self):
-        violations = validate_problem(self.goal_with_half_mass())
-        assert any("s=1" in v and "mass" in v for v in violations)
-
     def test_violation_names_the_pair_once(self):
-        (violation,) = validate_problem(self.goal_with_half_mass())
-        assert violation.count("(s=1, a=0)") == 1, violation
+        # s0 -> goal(1), with only half the mass on s0's one action.
+        problem = SspProblem(
+            n_states=2, start=0, goals={1}, expand_fn=lambda s: [(0, 1.0, [(1, 0.5)])]
+        )
+        (violation,) = validate_problem(problem)
+        assert violation.count("(s=0, a=0)") == 1, violation
 
     def test_trap_state_reported(self):
         problem = tabular_problem(

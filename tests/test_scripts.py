@@ -1,11 +1,15 @@
 """scripts/run_paper_tables.py: a desk-scale smoke run and its flag checks."""
 
 import csv
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
+
+from prmplan.cli import build_parser
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_paper_tables.py"
 
@@ -29,9 +33,31 @@ def test_desk_tables_smoke(tmp_path):
     assert all(r["goal_trials"] == "1" for r in rows)
 
 
-@pytest.mark.parametrize("flag,value", [("--trials", "0"), ("--seed", "-1")])
+@pytest.mark.parametrize("flag,value", [("--trials", "0"), ("--seed", "-1"), ("--jobs", "0")])
 def test_bad_counts_exit_2(flag, value):
     result = run_script(flag, value, "--skip-large")
     assert result.returncode == 2
     assert flag in result.stderr
     assert "Traceback" not in result.stderr
+
+
+def test_rm01_uses_the_cli_defaults(monkeypatch, risky_fork):
+    spec = importlib.util.spec_from_file_location("run_paper_tables", SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    seen = {}
+
+    def fake_run_experiment(problem, models, predicate, **kwargs):
+        seen.update(models)
+        return SimpleNamespace(results=[])
+
+    monkeypatch.setattr(script, "run_experiment", fake_run_experiment)
+    problem, predicate = risky_fork
+    script.evaluate("fork", problem, predicate, ("rm01",), trials=1, seed=5, jobs=1)
+    selector = seen["rm01"]
+    args = build_parser().parse_args(
+        ["experiment", "--domain", "racetrack", "--instance", "ring-3"]
+    )
+    profile = selector.risk_profile
+    assert (profile.samples, profile.depth, profile.seed) == (args.samples, args.depth, 5)
+    assert selector.threshold == args.threshold

@@ -10,6 +10,7 @@ from prmplan import (
     MOST_LIKELY,
     ModelResult,
     ModelSelector,
+    ReducedModel,
     RiskPredicate,
     RiskProfile,
     SelectorError,
@@ -182,6 +183,33 @@ class TestRunExperiment:
         run_experiment(problem, [("rm01", selector)], predicate, trials=5, seed=0)
         assert profile._reach
         assert flattened == [(problem, problem.start)]
+
+    def test_every_timed_solve_plans_a_fresh_reduction(self, risky_fork, monkeypatch):
+        # t_full is timed like every model row: the initial plan of a fresh
+        # ReducedModel, not a solve of the base whose records h_min warmed.
+        from prmplan import simulator
+
+        problem, predicate = risky_fork
+        solve_reduced, solve_lao = simulator._solve_reduced, simulator.solve_lao_star
+        initial, solved = [], []
+
+        def spy_reduced(reduced, start, config, values=None):
+            if values is None:
+                initial.append(reduced)
+            return solve_reduced(reduced, start, config, values)
+
+        def spy_lao(p, *args, **kwargs):
+            solved.append(p)
+            return solve_lao(p, *args, **kwargs)
+
+        monkeypatch.setattr(simulator, "_solve_reduced", spy_reduced)
+        monkeypatch.setattr(simulator, "solve_lao_star", spy_lao)
+        models = [("full", UniformSelector(FULL_MODEL)), ("m02", UniformSelector(M02))]
+        run_experiment(problem, models, predicate, trials=3, seed=0)
+        assert solved and all(isinstance(p, ReducedModel) for p in solved)
+        assert initial[0].selector.principle(0, 0) == FULL_MODEL  # t_full's plan
+        assert [r.selector for r in initial[1:]] == [s for _, s in models]
+        assert len({id(r) for r in initial}) == 3
 
     def test_reproducible_modulo_timing(self, risky_fork):
         problem, predicate = risky_fork
