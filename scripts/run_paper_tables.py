@@ -24,6 +24,8 @@ from prmplan.cli import (  # noqa: E402
 )
 from prmplan.domains import desk_instances, large_instances  # noqa: E402
 
+MODELS = ("full", "mlod", "m02", "rm01")
+
 
 def evaluate(name, problem, predicate, model_names, trials, seed, jobs):
     args = argparse.Namespace(seed=seed, **RM01_DEFAULTS)
@@ -36,31 +38,16 @@ def evaluate(name, problem, predicate, model_names, trials, seed, jobs):
         seed=seed,
         config=SimConfig(jobs=jobs),
     )
-    rows = []
-    for result in report.results:
-        rows.append(
-            {
-                "instance": name,
-                "states": problem.n_states,
-                "model": result.name,
-                "avg_nse": result.mean_nse,
-                "pct_cost_increase": result.pct_cost_increase(report.optimal_value),
-                "pct_time_savings": result.pct_time_savings(report.t_full),
-                "goal_trials": result.goal_trials,
-            }
-        )
-    return rows, report
+    return [{"instance": name, "states": problem.n_states, **row} for row in report.rows()]
 
 
-def print_table(title, rows, columns):
+def print_table(title, rows, field):
     print(f"\n== {title} ==")
-    table = [["instance", "states"] + [m for m, _ in columns]]
-    instances = sorted({r["instance"] for r in rows})
-    for instance in instances:
+    table = [["instance", "states", *MODELS]]
+    for instance in sorted({r["instance"] for r in rows}):
         mine = {r["model"]: r for r in rows if r["instance"] == instance}
         line = [instance, str(next(iter(mine.values()))["states"])]
-        for model, field in columns:
-            line.append(f"{mine[model][field]:.2f}" if model in mine else "-")
+        line += [f"{mine[m][field]:.2f}" if m in mine else "-" for m in MODELS]
         table.append(line)
     print("\n".join(_align_columns(table)))
 
@@ -81,36 +68,22 @@ def main(argv=None):
     all_rows = []
     for name, problem, predicate in desk_instances():
         print(f"running {name} ({problem.n_states} states)...", flush=True)
-        rows, _ = evaluate(
-            name, problem, predicate, ("full", "mlod", "m02", "rm01"),
-            args.trials, args.seed, args.jobs,
+        all_rows += evaluate(
+            name, problem, predicate, MODELS, args.trials, args.seed, args.jobs
         )
-        all_rows += rows
     if not args.skip_large:
         for name, problem, predicate in large_instances():
             print(f"running {name} ({problem.n_states} states)...", flush=True)
-            rows, _ = evaluate(
-                name, problem, predicate, ("full", "rm01"),
-                args.trials, args.seed, args.jobs,
+            all_rows += evaluate(
+                name, problem, predicate, ("full", "rm01"), args.trials, args.seed, args.jobs
             )
-            all_rows += rows
 
-    models = [("full", None), ("mlod", None), ("m02", None), ("rm01", None)]
-    print_table(
-        "Average negative side effects",
-        all_rows,
-        [(m, "avg_nse") for m, _ in models],
-    )
-    print_table(
-        "% cost increase over optimal",
-        all_rows,
-        [(m, "pct_cost_increase") for m, _ in models],
-    )
-    print_table(
-        "% time savings vs solving the full model",
-        all_rows,
-        [(m, "pct_time_savings") for m, _ in models],
-    )
+    for title, field in (
+        ("Average negative side effects", "avg_nse"),
+        ("% cost increase over optimal", "pct_cost_increase"),
+        ("% time savings vs solving the full model", "pct_time_savings"),
+    ):
+        print_table(title, all_rows, field)
 
     if args.out:
         with open(args.out, "w", newline="") as fh:

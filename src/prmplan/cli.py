@@ -25,7 +25,7 @@ from .reduction import (
 )
 from .risk import RiskProfile
 from .simulator import SimConfig, _solve_reduced, run_experiment
-from .solvers import SolverConfig, compute_hmin, solve_value_iteration
+from .solvers import SolverConfig, proper_hmin, solve_value_iteration
 
 MODEL_NAMES = ("full", "mlod", "m02", "rm01")
 
@@ -181,7 +181,7 @@ def cmd_solve(args) -> int:
     problem, predicate = build_instance(args.domain, args.instance, seed=args.seed)
     selector = _make_selector(args.model, problem, predicate, args)
     reduced = build_reduced_model(problem, selector, name=args.model)
-    config = SolverConfig(epsilon=args.epsilon, heuristic=compute_hmin(problem))
+    config = SolverConfig(epsilon=args.epsilon, heuristic=proper_hmin(problem))
     solution = _solve_reduced(reduced, problem.start, config)
     print(f"instance   {problem.name} ({problem.n_states} states)")
     print(f"model      {args.model}")
@@ -260,7 +260,11 @@ def cmd_experiment(args) -> int:
             writer = csv.DictWriter(fh, fieldnames=TRIAL_FIELDS)
             writer.writeheader()
             for result in report.results:
+                if result.failed:
+                    print(f"model {result.name} failed: {result.failure}", file=sys.stderr)
                 for i, t in enumerate(result.trials):
+                    if t.failure:
+                        print(f"model {result.name} trial {i} failed: {t.failure}", file=sys.stderr)
                     writer.writerow(
                         {
                             "model": result.name,
@@ -275,38 +279,14 @@ def cmd_experiment(args) -> int:
                             "replan_ms": f"{1000 * t.replan_time:.3f}",
                         }
                     )
-        rows = []
-        for result in report.results:
-            if result.failed:
-                print(f"model {result.name} failed: {result.failure}", file=sys.stderr)
-                continue
-            for i, t in enumerate(result.trials):
-                if t.failure:
-                    print(f"model {result.name} trial {i} failed: {t.failure}", file=sys.stderr)
-            rows.append(
-                {
-                    "model": result.name,
-                    "avg_nse": result.mean_nse,
-                    "mean_cost": result.mean_cost,
-                    "pct_cost_increase": result.pct_cost_increase(report.optimal_value),
-                    "pct_time_savings": result.pct_time_savings(report.t_full),
-                    "goal_trials": result.goal_trials,
-                }
-            )
+        rows = report.rows()
         with open(out / "aggregate.csv", "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=AGGREGATE_FIELDS)
             writer.writeheader()
-            for row in rows:
-                writer.writerow(
-                    {
-                        "model": row["model"],
-                        "avg_nse": f"{row['avg_nse']:.9g}",
-                        "mean_cost": f"{row['mean_cost']:.9g}",
-                        "pct_cost_increase": f"{row['pct_cost_increase']:.9g}",
-                        "pct_time_savings": f"{row['pct_time_savings']:.9g}",
-                        "goal_trials": row["goal_trials"],
-                    }
-                )
+            writer.writerows(
+                {k: f"{v:.9g}" if isinstance(v, float) else v for k, v in row.items()}
+                for row in rows
+            )
         table = _format_table(rows, report.optimal_value, report.t_full)
         (out / "table.txt").write_text(table)
     except OSError as exc:

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..mdp import SspProblem
+from ..mdp import SspProblem, numbered_problem
 from ..risk import RiskPredicate
 
 N_DEMAND = 4
@@ -232,14 +232,7 @@ def build_ev(scenario: EvScenario) -> tuple[SspProblem, RiskPredicate]:
                     states.append(succ)
                     stack.append(succ)
 
-    def expand_fn(s: int):
-        return [
-            (a, c, [(index[succ], p) for succ, p in outcomes.items()])
-            for a, c, outcomes in expand(states[s])
-        ]
-
-    problem = SspProblem(len(states), 0, {index[DONE]}, expand_fn, name=scenario.name)
-    problem.states = states
+    problem = numbered_problem(states, index, {index[DONE]}, expand, scenario.name)
 
     def risky(s: int) -> bool:
         state = states[s]

@@ -32,6 +32,8 @@ Outcome = tuple[int, float]
 Distribution = tuple[Outcome, ...]
 # Parallel tuples (actions, costs, distributions) of one state.
 StateRecord = tuple[tuple[int, ...], tuple[float, ...], tuple[Distribution, ...]]
+# A domain's dynamics: (action, cost, {successor_state: p}) per applicable action.
+Expand = Callable[[Hashable], Iterable[tuple[int, float, Mapping[Hashable, float]]]]
 
 # Partial policies are plain dicts: states outside the solved envelope are
 # simply absent, so policy.get(s) is None exactly when replanning is needed.
@@ -181,10 +183,7 @@ def tabular_problem(
 
 
 def search_problem(
-    start: Hashable,
-    expand: Callable[[Hashable], Iterable[tuple[int, float, Mapping[Hashable, float]]]],
-    is_goal: Callable[[Hashable], bool],
-    name: str = "",
+    start: Hashable, expand: Expand, is_goal: Callable[[Hashable], bool], name: str = ""
 ) -> SspProblem:
     """Number the states reachable from `start` and build their problem.
 
@@ -205,6 +204,14 @@ def search_problem(
                 if succ not in index:
                     index[succ] = len(states)
                     states.append(succ)
+    return numbered_problem(states, index, goals, expand, name)
+
+
+def numbered_problem(
+    states: list, index: Mapping[Hashable, int], goals: Iterable[int], expand: Expand, name=""
+) -> SspProblem:
+    """The problem whose state i is `states[i]`, with `index` its inverse and
+    start 0. `expand` is as for `search_problem`."""
 
     def expand_fn(s: int) -> list[tuple[int, float, list[Outcome]]]:
         return [

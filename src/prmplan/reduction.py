@@ -154,7 +154,8 @@ class ReducedModel(SspProblem):
     the base's record of the same state: the action and cost tuples are
     shared, a distribution the principle keeps whole is the base's object,
     and a cut one is renormalized by `make_distribution`. The selector is
-    asked once per pair, when the state's record is built.
+    asked once per pair of a non-goal state, when its record is built; a
+    goal's record is the base's.
     """
 
     def __init__(self, base: SspProblem, selector: ModelSelector, name: str = ""):
@@ -170,6 +171,8 @@ class ReducedModel(SspProblem):
         self.selector = selector
 
     def _build_record(self, s: int) -> StateRecord:
+        if s in self.goals:  # a one-outcome self-loop: no principle cuts it
+            return self.base.record(s)
         acts, costs, dists = self.base.record(s)
         principle = self.selector.principle
         reduced = []

@@ -23,7 +23,7 @@ from .solvers import (
     NonconvergenceError,
     Solution,
     SolverConfig,
-    compute_hmin,
+    proper_hmin,
     solve_deterministic,
     solve_lao_star,
     solve_value_iteration,
@@ -101,11 +101,26 @@ class ModelResult:
 
 @dataclass
 class ExperimentReport:
+    """run_experiment's per-model results, V*(s0) and full-model solve time."""
+
     results: list[ModelResult]
     optimal_value: float
     t_full: float
-    trials: int
-    seed: int
+
+    def rows(self) -> list[dict]:
+        """One row per model that did not fail, keyed as cli.AGGREGATE_FIELDS."""
+        return [
+            {
+                "model": r.name,
+                "avg_nse": r.mean_nse,
+                "mean_cost": r.mean_cost,
+                "pct_cost_increase": r.pct_cost_increase(self.optimal_value),
+                "pct_time_savings": r.pct_time_savings(self.t_full),
+                "goal_trials": r.goal_trials,
+            }
+            for r in self.results
+            if not r.failed
+        ]
 
 
 def _solve_reduced(
@@ -134,8 +149,8 @@ def _solve_reduced(
 
 def _initial_plan(reduced: ReducedModel, config: SolverConfig) -> Solution:
     """The plan of a reduced model from s0, its solve_time set to the whole
-    call, fallbacks included. run_experiment times t_full and every model's
-    initial plan here, each on a fresh reduction."""
+    call, fallbacks included. run_experiment times t_full and every other
+    model's initial plan here, each on a fresh reduction."""
     t0 = time.perf_counter()
     initial = _solve_reduced(reduced, reduced.start, config)
     initial.solve_time = time.perf_counter() - t0
@@ -226,48 +241,50 @@ def run_experiment(
 
     Per model: build the reduced model, solve it once from s0 (the shared
     initial plan), run `trials` independently-seeded execution trials, and
-    aggregate. t_full, the initial plan time of one more fresh `full`
-    reduction, and V*(s0) anchor the %-time-savings and %-cost-increase
-    columns. A model whose reduction or initial solve raises is marked
-    failed; a trial that raises is recorded with its `failure` set and
-    reached_goal false, and left out of the model's means.
+    aggregate. t_full is the plan time of one fresh `full` reduction; a
+    member that is exactly a `UniformSelector` of FULL_MODEL reuses that
+    plan, so its row saves 0 % by construction. t_full and V*(s0) anchor the
+    %-time-savings and %-cost-increase columns. A base with a reachable state
+    that reaches no goal raises ValueError before anything is solved. A model
+    whose reduction or initial solve raises is marked failed; a trial that
+    raises is recorded with its `failure` set and reached_goal false, and
+    left out of the model's means.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     config = config or SimConfig()
     # h_min, V*(s0) and any risk profile over the base read its one
     # memoized compiled model.
-    heuristic = compute_hmin(base)
+    heuristic = proper_hmin(base)
     optimal = optimal_start_value(base, config)
     solver_cfg = config.solver_config(heuristic)
 
-    t_full = _initial_plan(ReducedModel(base, UniformSelector(FULL_MODEL)), solver_cfg).solve_time
+    full = ReducedModel(base, UniformSelector(FULL_MODEL), name="full")
+    full_plan = _initial_plan(full, solver_cfg)
 
     results: list[ModelResult] = []
     for name, selector in models:
         result = ModelResult(name=name)
         try:
-            reduced = ReducedModel(base, selector, name=name)
-            initial = _initial_plan(reduced, solver_cfg)
+            if type(selector) is UniformSelector and selector._principle == FULL_MODEL:
+                reduced, initial = full, full_plan
+            else:
+                reduced = ReducedModel(base, selector, name=name)
+                initial = _initial_plan(reduced, solver_cfg)
         except Exception as exc:  # noqa: BLE001 - failed models must not stop others
             result.failed = True
             result.failure = f"{type(exc).__name__}: {exc}"
             results.append(result)
             continue
 
-        def one_trial(trial: int, _reduced=reduced, _initial=initial) -> TrialStats:
+        def one_trial(trial: int) -> TrialStats:
             # Common random numbers: trial i draws the same outcome stream
             # under every model, pairing the per-model comparisons.
             trial_seed = int(np.random.SeedSequence([seed, trial]).generate_state(1)[0])
             try:
                 return run_trial(
-                    base,
-                    _reduced,
-                    predicate,
-                    config,
-                    seed=trial_seed,
-                    initial=_initial,
-                    heuristic=heuristic,
+                    base, reduced, predicate, config,
+                    seed=trial_seed, initial=initial, heuristic=heuristic,
                 )
             except Exception as exc:  # noqa: BLE001 - one failed trial must not stop others
                 return TrialStats(seed=trial_seed, failure=f"{type(exc).__name__}: {exc}")
@@ -278,4 +295,4 @@ def run_experiment(
         else:
             result.trials = [one_trial(i) for i in range(trials)]
         results.append(result)
-    return ExperimentReport(results, optimal, t_full, trials, seed)
+    return ExperimentReport(results, optimal, full_plan.solve_time)

@@ -171,6 +171,16 @@ def compute_hmin(
     return dict(zip(model.states.tolist(), h.tolist())).__getitem__
 
 
+def proper_hmin(problem: SspProblem) -> Callable[[int], float]:
+    """compute_hmin(problem), once every state reachable from s0 is known to
+    reach a goal; raises ValueError naming one that cannot."""
+    h = compute_hmin(problem)
+    for s in compile_model(problem).states.tolist():
+        if h(s) == math.inf:
+            raise ValueError(f"state {s} is reachable from s0 but reaches no goal")
+    return h
+
+
 def solve_lao_star(
     problem: SspProblem,
     start: int | None = None,

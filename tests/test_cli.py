@@ -1,13 +1,30 @@
 """Command-line interface: solve/experiment subcommands and report files."""
 
 import csv
+import hashlib
 
 import pytest
 
+from prmplan import cli
 from prmplan.cli import AGGREGATE_FIELDS, TRIAL_FIELDS, main
 
 TIMING_TRIAL_COLS = {"plan_ms", "replan_ms"}
 TIMING_AGG_COLS = {"pct_time_savings"}
+
+# A racetrack map whose goal is walled off from the start.
+WALLED_TRACK = "XXXXXXX\nXS.XGXX\nXXXXXXX\n"
+
+# sha256 of trials.csv without its timing columns, 10 trials per model.
+PINNED_TRIALS = {
+    ("racetrack", "ring-3", "full,mlod,m02,rm01", 1): (
+        "5bf93e4c617761e73e35bae35c3a7710ddec9df6995a33315b6d54f24264d537"
+    ),
+    ("racetrack", "ring-3", "full,mlod,m02,rm01", 2): (
+        "02a98fc551c1db02205137e9cc9c264cf9d9318591d0842828bab555a602ddf7"
+    ),
+    ("ev", "gen-1", "rm01", 1): "8709911c0dbe105c778e022ca276ede8553312a048b2cbc586d32a619071c577",
+    ("ev", "gen-1", "rm01", 2): "f00b63673b94ee967388ac3836ed3a213420368ec431da6a2ee301f75363e345",
+}
 
 
 def read_csv(path, drop=()):
@@ -55,6 +72,16 @@ class TestSolve:
         captured = capsys.readouterr()
         assert code == 0
         assert "oracle" in captured.out
+
+    @pytest.mark.parametrize("command", ["solve", "experiment"])
+    def test_goal_walled_off_exits_2(self, tmp_path, capsys, command):
+        track = tmp_path / "walled.track"
+        track.write_text(WALLED_TRACK)
+        argv = [command, "--domain", "racetrack", "--instance", str(track)]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "no goal" in err
+        assert "Traceback" not in err
 
     def test_unknown_domain_exits_2(self):
         with pytest.raises(SystemExit) as err:
@@ -196,3 +223,31 @@ class TestExperiment:
         assert err.value.code == 2
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
+
+    def test_aggregate_rows_are_the_reports_rows(self, tmp_path, capsys, monkeypatch):
+        reports = []
+
+        def keep_report(*args, **kwargs):
+            reports.append(cli_run_experiment(*args, **kwargs))
+            return reports[-1]
+
+        cli_run_experiment = cli.run_experiment
+        monkeypatch.setattr(cli, "run_experiment", keep_report)
+        out = run_experiment_cli(tmp_path, "rows")
+        (report,) = reports
+        rows = report.rows()
+        assert [list(row) for row in rows] == [list(AGGREGATE_FIELDS)] * 4
+        assert read_csv(out / "aggregate.csv") == [
+            {k: f"{v:.9g}" if isinstance(v, float) else str(v) for k, v in row.items()}
+            for row in rows
+        ]
+
+    @pytest.mark.parametrize("domain,instance,models,seed", sorted(PINNED_TRIALS))
+    def test_trial_outcomes_pinned(self, tmp_path, capsys, domain, instance, models, seed):
+        argv = ["--domain", domain, "--instance", instance, "--models", models]
+        argv += ["--trials", "10", "--seed", str(seed), "--out", str(tmp_path)]
+        assert main(["experiment", *argv]) == 0
+        digest = hashlib.sha256()
+        for row in read_csv(tmp_path / "trials.csv", TIMING_TRIAL_COLS):
+            digest.update((",".join(f"{k}={v}" for k, v in row.items()) + "\n").encode())
+        assert digest.hexdigest() == PINNED_TRIALS[(domain, instance, models, seed)]

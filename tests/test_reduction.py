@@ -19,6 +19,8 @@ from prmplan import (
     make_distribution,
     reachable_states,
     select_outcomes,
+    solve_lao_star,
+    solve_value_iteration,
     tabular_problem,
 )
 
@@ -145,6 +147,17 @@ class TestBuildReducedModel:
         reduced = build_reduced_model(problem, selector)
         assert {s for s, _ in reduced.transition(0, 0)} == {1, 2}
         assert len(reduced.transition(1, 0)) == 1
+
+    def test_goal_record_needs_no_principle(self, risky_fork):
+        # The table covers every non-goal pair; the goal's self-loop is the
+        # base's record, so VI (which compiles the goal too) agrees with LAO*.
+        problem, _ = risky_fork
+        pairs = [(s, a) for s in range(3) for a in problem.actions(s)]
+        reduced = build_reduced_model(problem, TableSelector(dict.fromkeys(pairs, MOST_LIKELY)))
+        assert reduced.record(3) is problem.record(3)
+        lao = solve_lao_star(reduced).start_value
+        assert lao == 2.0
+        assert solve_value_iteration(reduced).start_value == pytest.approx(lao, abs=2e-3)
 
 
 class TestZeroOneSelector:

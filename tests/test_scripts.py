@@ -5,10 +5,10 @@ import importlib.util
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
+from prmplan import ExperimentReport
 from prmplan.cli import build_parser
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_paper_tables.py"
@@ -49,7 +49,7 @@ def test_rm01_uses_the_cli_defaults(monkeypatch, risky_fork):
 
     def fake_run_experiment(problem, models, predicate, **kwargs):
         seen.update(models)
-        return SimpleNamespace(results=[])
+        return ExperimentReport([], 0.0, 0.0)
 
     monkeypatch.setattr(script, "run_experiment", fake_run_experiment)
     problem, predicate = risky_fork

@@ -187,11 +187,13 @@ class TestRunExperiment:
     def test_every_timed_solve_plans_a_fresh_reduction(self, risky_fork, monkeypatch):
         # t_full is timed like every model row: the initial plan of a fresh
         # ReducedModel, not a solve of the base whose records h_min warmed.
+        # The `full` member reuses that plan instead of solving it again.
         from prmplan import simulator
 
         problem, predicate = risky_fork
         solve_reduced, solve_lao = simulator._solve_reduced, simulator.solve_lao_star
-        initial, solved = [], []
+        trial = simulator.run_trial
+        initial, solved, tried = [], [], []
 
         def spy_reduced(reduced, start, config, values=None):
             if values is None:
@@ -202,14 +204,62 @@ class TestRunExperiment:
             solved.append(p)
             return solve_lao(p, *args, **kwargs)
 
+        def spy_trial(base, reduced, *args, **kwargs):
+            tried.append(reduced)
+            return trial(base, reduced, *args, **kwargs)
+
         monkeypatch.setattr(simulator, "_solve_reduced", spy_reduced)
         monkeypatch.setattr(simulator, "solve_lao_star", spy_lao)
+        monkeypatch.setattr(simulator, "run_trial", spy_trial)
         models = [("full", UniformSelector(FULL_MODEL)), ("m02", UniformSelector(M02))]
         run_experiment(problem, models, predicate, trials=3, seed=0)
         assert solved and all(isinstance(p, ReducedModel) for p in solved)
+        assert len(initial) == 2 and initial[0] is not initial[1]
         assert initial[0].selector.principle(0, 0) == FULL_MODEL  # t_full's plan
-        assert [r.selector for r in initial[1:]] == [s for _, s in models]
-        assert len({id(r) for r in initial}) == 3
+        assert initial[1].selector is models[1][1]
+        assert tried == [initial[0]] * 3 + [initial[1]] * 3
+
+    def test_only_an_exact_full_uniform_selector_reuses_the_full_plan(
+        self, risky_fork, monkeypatch
+    ):
+        from prmplan import simulator
+
+        class FullSubclass(UniformSelector):
+            pass
+
+        problem, predicate = risky_fork
+        solve_reduced = simulator._solve_reduced
+        initial = []
+
+        def spy_reduced(reduced, start, config, values=None):
+            if values is None:
+                initial.append(reduced.selector)
+            return solve_reduced(reduced, start, config, values)
+
+        monkeypatch.setattr(simulator, "_solve_reduced", spy_reduced)
+        models = [
+            ("a", UniformSelector(FULL_MODEL)),
+            ("b", FullSubclass(FULL_MODEL)),
+            ("c", UniformSelector(MOST_LIKELY)),
+        ]
+        run_experiment(problem, models, predicate, trials=2, seed=0)
+        assert len(initial) == 3  # t_full's plan, then b and c
+        assert initial[1:] == [models[1][1], models[2][1]]
+
+    @pytest.mark.parametrize("instance", ["risky_fork", "ring-3"])
+    def test_full_row_saves_nothing_against_itself(self, risky_fork, instance):
+        if instance == "risky_fork":
+            problem, predicate = risky_fork
+        else:
+            from prmplan.domains import build_instance
+
+            problem, predicate = build_instance("racetrack", instance)
+        report = run_experiment(
+            problem, [("full", UniformSelector(FULL_MODEL))], predicate, trials=100, seed=1
+        )
+        (row,) = report.rows()
+        assert row["pct_time_savings"] == pytest.approx(0.0, abs=1e-9)
+        assert report.results[0].mean_time == pytest.approx(report.t_full, rel=1e-12)
 
     def test_reproducible_modulo_timing(self, risky_fork):
         problem, predicate = risky_fork
@@ -259,6 +309,7 @@ class TestRunExperiment:
         assert broken.failed and "boom" in broken.failure
         assert not full.failed
         assert len(full.trials) == 5
+        assert [row["model"] for row in report.rows()] == ["full"]
 
     def test_failed_trial_does_not_stop_others(self, risky_fork):
         # The initial MLOD plan never visits s2 (only the 0.1 branch of

@@ -174,6 +174,20 @@ class TestLaoStar:
             solve_lao_star(self.improper_problem(), config=SolverConfig(max_iterations=500))
         assert err.value.solution.converged is False
 
+    def test_experiment_refuses_a_state_that_reaches_no_goal(self, monkeypatch):
+        # run_experiment checks h_min before value iteration could sweep the
+        # improper base up to its iteration cap.
+        from prmplan import FULL_MODEL, RiskPredicate, UniformSelector, run_experiment, simulator
+
+        def no_vi(*args, **kwargs):
+            raise AssertionError("value iteration ran")
+
+        monkeypatch.setattr(simulator, "solve_value_iteration", no_vi)
+        models = [("full", UniformSelector(FULL_MODEL))]
+        predicate = RiskPredicate(evaluate=lambda s: False)
+        with pytest.raises(ValueError, match="state [01] .*no goal"):
+            run_experiment(self.improper_problem(), models, predicate)
+
     def test_improper_model_stalls_under_default_config(self):
         with pytest.raises(NonconvergenceError, match="stalled") as err:
             solve_lao_star(self.improper_problem())
