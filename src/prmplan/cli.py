@@ -186,6 +186,7 @@ def cmd_solve(args) -> int:
     print(f"instance   {problem.name} ({problem.n_states} states)")
     print(f"model      {args.model}")
     print(f"V(s0)      {solution.start_value:.6f}")
+    print(f"converged  {'yes' if solution.converged else 'no'}")
     print(f"expanded   {solution.expanded_states}")
     print(f"backups    {solution.backups}")
     print(f"solve_time {solution.solve_time:.3f}s")

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence, Set
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -128,13 +128,15 @@ def _solve_reduced(
     start: int,
     config: SolverConfig,
     values: dict[int, float] | None = None,
+    solved: Set[int] = frozenset(),
 ) -> Solution:
     """Solve the reduced model from one state, falling back gracefully.
 
     Deterministic reductions go to A*; everything else (and any A* dead end
-    caused by a goal-blocking determinization) goes to LAO*. Nonconvergence
-    on improper reductions yields the best greedy policy found, which is all
-    the executor needs: the true model supplies the missing stochasticity.
+    caused by a goal-blocking determinization) goes to LAO*, which stops at
+    the `solved` states (see solve_lao_star). Nonconvergence on improper
+    reductions yields the best greedy policy found, which is all the
+    executor needs: the true model supplies the missing stochasticity.
     """
     if reduced.deterministic:
         try:
@@ -142,7 +144,7 @@ def _solve_reduced(
         except DeadEndError:
             pass
     try:
-        return solve_lao_star(reduced, start, config, values=values)
+        return solve_lao_star(reduced, start, config, values=values, solved=solved)
     except NonconvergenceError as exc:
         return exc.solution
 
@@ -171,8 +173,11 @@ def run_trial(
 
     `initial` may carry a precomputed solve of the reduced model from s0
     (its solve_time is charged as the trial's plan time); replanning keeps
-    the trial's own value dict warm across re-solves. The trial stops
-    after `step_cap` steps, by default 10 x base.n_states.
+    the trial's own value dict warm across re-solves. The trial also keeps
+    its own set of solved states, seeded from `initial.solved` (which it
+    only reads) and joined by each replan's labels, so a replan stops at
+    states that the initial plan or an earlier replan has already solved.
+    The trial stops after `step_cap` steps, by default 10 x base.n_states.
     """
     config = config or SimConfig()
     solver_cfg = config.solver_config(heuristic)
@@ -185,6 +190,7 @@ def run_trial(
     stats.plan_time = initial.solve_time
     policy = dict(initial.policy)
     values = initial.values.copy()
+    solved = set(initial.solved)
 
     s = base.start
     while stats.steps < cap:
@@ -197,9 +203,10 @@ def run_trial(
             if predicate(s):
                 stats.nse_hits += 1
             t0 = time.perf_counter()
-            solution = _solve_reduced(reduced, s, solver_cfg, values=values)
+            solution = _solve_reduced(reduced, s, solver_cfg, values=values, solved=solved)
             stats.replan_time += time.perf_counter() - t0
             policy.update(solution.policy)
+            solved |= solution.solved
             a = policy.get(s)
             if a is None:
                 raise DeadEndError(f"replanning produced no action for state {s}")

@@ -5,9 +5,20 @@ h_min through its memoized compiled model, as one (pairs x states) sparse
 transition matrix, LAO* through the Bellman kernel, and A* directly. LAO*
 runs as ILAO*: each iteration is one depth-first pass over the greedy
 envelope that expands the tips it meets and backs its states up in
-postorder. Value
-iteration shares no code with it, so it stays an independent oracle.
-`SolverConfig.max_iterations` bounds VI's sweeps and LAO*'s passes.
+postorder. Value iteration shares no code with it, so it stays an
+independent oracle. `SolverConfig.max_iterations` bounds VI's sweeps and
+LAO*'s passes.
+
+LAO* labels states as LRTDP does (Bonet & Geffner 2003): a converged solve
+reports its final pass's postorder as `Solution.solved`, and a later solve
+given those states in `solved` treats them like goals. It reads their
+values but neither enters nor backs them up. This is sound for replans in
+one model warm-started from the same values: the final pass's greedy graph
+is closed over its own states, the solved ones and goals, so a labelled
+state's value depends only on other labelled states. Later solves only
+raise the values of the other states (h_min is consistent), which can only
+raise the Q-values of a labelled state's other actions, so its residual
+stays below epsilon. A stalled solve, A* and value iteration label nothing.
 """
 
 from __future__ import annotations
@@ -15,7 +26,7 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterator, Set
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +60,11 @@ class SolverConfig:
 
 @dataclass
 class Solution:
+    """A solver's (partial) policy, its value dict and its work counters.
+    `solved` is the set of states labelled by a converged LAO* solve: its
+    final pass's postorder, which is exactly the policy's states. It is
+    empty for a stalled LAO* solve, for A* and for VI."""
+
     policy: Policy
     values: dict[int, float]
     expanded_states: int
@@ -56,6 +72,7 @@ class Solution:
     start: int
     converged: bool = True
     backups: int = 0  # Bellman kernel calls (LAO*)
+    solved: frozenset[int] = frozenset()
 
     @property
     def start_value(self) -> float:
@@ -186,6 +203,7 @@ def solve_lao_star(
     start: int | None = None,
     config: SolverConfig | None = None,
     values: dict[int, float] | None = None,
+    solved: Set[int] = frozenset(),
 ) -> Solution:
     """ILAO* (Hansen & Zilberstein 2001): one depth-first pass per iteration.
 
@@ -202,6 +220,13 @@ def solve_lao_star(
     Improper inputs surface as NonconvergenceError carrying the best greedy
     policy found: once the envelope is tip-free, its residual stops halving
     when no goal is reachable along it.
+
+    `solved` holds states labelled by earlier converged solves of the same
+    model whose values are in `values` (see the module docstring). A pass
+    treats them like goals: it reads their values but does not enter or
+    back them up. The start is always expanded. The returned policy then
+    covers only the states of the final pass, and `Solution.solved` labels
+    them when the solve converged.
     """
     config = config or SolverConfig()
     root = problem.start if start is None else start
@@ -241,7 +266,7 @@ def solve_lao_star(
             for s2, _ in succ:
                 if s2 not in seen:
                     seen.add(s2)
-                    if s2 not in goals:
+                    if s2 not in goals and s2 not in solved:
                         stack.append((s2, successors(s2)))
                         break
             else:
@@ -260,8 +285,9 @@ def solve_lao_star(
 
     def snapshot(order: list[int], converged: bool) -> Solution:
         policy = {s: greedy[s] for s in order}
+        labels = frozenset(policy) if converged else frozenset()
         return Solution(
-            policy, v, len(greedy), time.perf_counter() - t0, root, converged, backups
+            policy, v, len(greedy), time.perf_counter() - t0, root, converged, backups, labels
         )
 
     order: list[int] = []

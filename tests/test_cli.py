@@ -22,6 +22,10 @@ PINNED_TRIALS = {
     ("racetrack", "ring-3", "full,mlod,m02,rm01", 2): (
         "02a98fc551c1db02205137e9cc9c264cf9d9318591d0842828bab555a602ddf7"
     ),
+    # Replan-heavy: 24 m02 and 61 rm01 replans over the 10 trials.
+    ("racetrack", "zigzag-4", "m02,rm01", 1): (
+        "a15bca322bff92e2f91ba4cb5620880df660c0d299221b39850e0e73e1127f02"
+    ),
     ("ev", "gen-1", "rm01", 1): "8709911c0dbe105c778e022ca276ede8553312a048b2cbc586d32a619071c577",
     ("ev", "gen-1", "rm01", 2): "f00b63673b94ee967388ac3836ed3a213420368ec431da6a2ee301f75363e345",
 }
@@ -62,8 +66,26 @@ class TestSolve:
         assert code == 0
         assert "V(s0)" in captured.out
         fields = dict(line.split(None, 1) for line in captured.out.splitlines())
+        assert fields["converged"] == "yes"
         # LAO* backs up each state it expands at least once.
         assert int(fields["backups"]) >= int(fields["expanded"]) > 0
+
+    def test_reports_a_stalled_solve(self, capsys, monkeypatch):
+        # The LAO* fallback prints the stalled policy's V(s0), flagged as
+        # not converged, and still exits 0.
+        from prmplan import NonconvergenceError, simulator
+
+        solve_lao_star = simulator.solve_lao_star
+
+        def stalled(*args, **kwargs):
+            solution = solve_lao_star(*args, **kwargs)
+            solution.converged = False
+            raise NonconvergenceError("LAO* stalled", solution)
+
+        monkeypatch.setattr(simulator, "solve_lao_star", stalled)
+        assert main(["solve", "--domain", "sailing", "--instance", "6M"]) == 0
+        fields = dict(line.split(None, 1) for line in capsys.readouterr().out.splitlines())
+        assert fields["converged"] == "no"
 
     def test_oracle_cross_check(self, capsys):
         code = main(

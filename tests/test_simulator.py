@@ -142,6 +142,79 @@ class TestRunTrial:
         )
 
 
+@pytest.fixture(scope="module")
+def replanned_reductions():
+    """(label, base, reduced, predicate, h_min of the base) for the m02 and
+    rm01 reductions of ring-3 and zigzag-4, whose trials replan often."""
+    import argparse
+
+    from prmplan.cli import _make_selector
+    from prmplan.domains import build_instance
+    from prmplan.solvers import proper_hmin
+
+    args = argparse.Namespace(samples=30, depth=4, seed=0, threshold=0.25)
+    out = []
+    for instance in ("ring-3", "zigzag-4"):
+        base, predicate = build_instance("racetrack", instance)
+        hmin = proper_hmin(base)
+        for name in ("m02", "rm01"):
+            reduced = build_reduced_model(base, _make_selector(name, base, predicate, args))
+            out.append((f"{instance}-{name}", base, reduced, predicate, hmin))
+    return out
+
+
+class TestSolvedLabels:
+    """A trial's solved set: the initial plan's labels, joined by each
+    converged replan's."""
+
+    def test_labels_stay_solved_after_every_replan(self, replanned_reductions, monkeypatch):
+        from prmplan import mdp, simulator, solvers
+
+        solve_reduced, backup = simulator._solve_reduced, mdp.bellman_backup
+        eps = SimConfig().epsilon
+        replanning = {"labels": frozenset(), "backed_up": []}
+
+        def spy_backup(problem, values, s, heuristic=None):
+            if s in replanning["labels"]:
+                replanning["backed_up"].append(s)
+            return backup(problem, values, s, heuristic)
+
+        def spy_reduced(reduced, start, config, values=None, solved=frozenset()):
+            replanning["labels"] = frozenset(solved)
+            solution = solve_reduced(reduced, start, config, values, solved)
+            replanning["labels"] = frozenset()
+            after.append((frozenset(solved), dict(values), solution))
+            return solution
+
+        monkeypatch.setattr(solvers, "bellman_backup", spy_backup)
+        monkeypatch.setattr(simulator, "_solve_reduced", spy_reduced)
+        for label, base, reduced, predicate, hmin in replanned_reductions:
+            config = SimConfig().solver_config(hmin)
+            initial = solve_reduced(reduced, reduced.start, config)
+            assert initial.solved == frozenset(initial.policy), label
+            replans = 0
+            for seed in range(10):
+                after = []
+                stats = run_trial(
+                    base, reduced, predicate, seed=seed, initial=initial, heuristic=hmin
+                )
+                assert stats.reached_goal and stats.replans == len(after), label
+                replans += stats.replans
+                policy = dict(initial.policy)
+                labels = initial.solved
+                for before, values, solution in after:
+                    assert before == labels, label  # every earlier replan's labels joined
+                    policy.update(solution.policy)
+                    labels = before | solution.solved
+                    for s in labels:
+                        best, _ = backup(reduced, dict(values), s, hmin)
+                        assert abs(best - values[s]) < eps, f"{label}: state {s}"
+                        for s2, _ in reduced.transition(s, policy[s]):
+                            assert s2 in labels or reduced.is_goal(s2), f"{label}: {s} -> {s2}"
+            assert replans > 0, label
+        assert replanning["backed_up"] == []
+
+
 class TestRunExperiment:
     def test_full_model_self_comparison(self, risky_fork):
         problem, predicate = risky_fork
@@ -195,10 +268,10 @@ class TestRunExperiment:
         trial = simulator.run_trial
         initial, solved, tried = [], [], []
 
-        def spy_reduced(reduced, start, config, values=None):
+        def spy_reduced(reduced, start, config, values=None, solved=frozenset()):
             if values is None:
                 initial.append(reduced)
-            return solve_reduced(reduced, start, config, values)
+            return solve_reduced(reduced, start, config, values, solved)
 
         def spy_lao(p, *args, **kwargs):
             solved.append(p)
@@ -231,10 +304,10 @@ class TestRunExperiment:
         solve_reduced = simulator._solve_reduced
         initial = []
 
-        def spy_reduced(reduced, start, config, values=None):
+        def spy_reduced(reduced, start, config, values=None, solved=frozenset()):
             if values is None:
                 initial.append(reduced.selector)
-            return solve_reduced(reduced, start, config, values)
+            return solve_reduced(reduced, start, config, values, solved)
 
         monkeypatch.setattr(simulator, "_solve_reduced", spy_reduced)
         models = [

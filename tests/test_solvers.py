@@ -192,6 +192,7 @@ class TestLaoStar:
         with pytest.raises(NonconvergenceError, match="stalled") as err:
             solve_lao_star(self.improper_problem())
         assert err.value.solution.policy == {0: 0, 1: 0}
+        assert err.value.solution.solved == frozenset()  # a stalled solve labels nothing
 
     def test_no_convergence_on_a_pass_that_changes_an_action(self):
         # V(2) climbs to 2 by halving steps. On the first pass whose residual
@@ -287,6 +288,55 @@ class TestLaoStarInvariants:
             assert abs(warm.start_value - vi.start_value) <= 2 * EPS, label
             assert s1 in warm.policy, label
 
+    def test_labelled_warm_start(self, invariant_models, monkeypatch):
+        # A replan given the first solve's labels never backs a labelled
+        # state up, yet reaches the value of an unlabelled solve, and its
+        # own labels close the greedy graph together with the first ones.
+        from prmplan import solvers
+
+        backed_up = []
+
+        def spy_backup(problem, values, s, heuristic=None):
+            backed_up.append(s)
+            return bellman_backup(problem, values, s, heuristic)
+
+        monkeypatch.setattr(solvers, "bellman_backup", spy_backup)
+        for label, problem, hmin in invariant_models:
+            config = SolverConfig(TIGHT_EPS, heuristic=hmin)
+            first = solve_lao_star(problem, config=config)
+            assert first.solved == frozenset(first.policy), label
+            states = [s for s in reachable_states(problem) if not problem.is_goal(s)]
+            candidates = [s for s in states if s not in first.solved]
+            if not candidates:
+                continue
+            s1 = candidates[len(candidates) // 2]
+            backed_up.clear()
+            warm = solve_lao_star(
+                problem, s1, config, values=first.values.copy(), solved=first.solved
+            )
+            assert not first.solved.intersection(backed_up), label
+            assert warm.solved == frozenset(warm.policy) and s1 in warm.solved, label
+            assert not warm.solved & first.solved, label
+            cold = solve_lao_star(problem, s1, config)
+            assert abs(warm.start_value - cold.start_value) <= 2 * TIGHT_EPS, label
+            closed = warm.solved | first.solved
+            policy = {**first.policy, **warm.policy}
+            for s in warm.solved:
+                for s2, _ in problem.transition(s, policy[s]):
+                    assert s2 in closed or problem.is_goal(s2), f"{label}: {s} -> {s2}"
+
+    def test_a_labelled_start_is_still_expanded(self, invariant_models):
+        # The start is entered even when it is labelled; its successors
+        # are all labelled or goals, so the pass ends there.
+        for label, problem, hmin in invariant_models:
+            config = SolverConfig(TIGHT_EPS, heuristic=hmin)
+            first = solve_lao_star(problem, config=config)
+            again = solve_lao_star(
+                problem, config=config, values=first.values.copy(), solved=first.solved
+            )
+            assert again.policy == {problem.start: first.policy[problem.start]}, label
+            assert again.start_value == pytest.approx(first.start_value, abs=TIGHT_EPS)
+
 
 class TestHmin:
     def test_goal_adjacent_state(self, chain3):
@@ -381,6 +431,7 @@ class TestDeterministicSolver:
         solution = solve_deterministic(chain3)
         assert solution.start_value == 2.0
         assert solution.policy == {0: 0, 1: 0}
+        assert solution.solved == frozenset()  # A* labels nothing
 
     def test_start_is_goal(self, chain3):
         solution = solve_deterministic(chain3, start=2)
