@@ -247,6 +247,12 @@ def cmd_experiment(args) -> int:
     if not names:
         print("error: --models names no model", file=sys.stderr)
         return 2
+    # An unusable --out fails here, before anything is built or solved.
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _cannot_write(out, exc)
     problem, predicate = build_instance(args.domain, args.instance, seed=args.seed)
     models = [(n, _make_selector(n, problem, predicate, args)) for n in names]
     config = SimConfig(epsilon=args.epsilon, jobs=args.jobs)
@@ -254,9 +260,7 @@ def cmd_experiment(args) -> int:
         problem, models, predicate, trials=args.trials, seed=args.seed, config=config
     )
 
-    out = Path(args.out)
     try:
-        out.mkdir(parents=True, exist_ok=True)
         with open(out / "trials.csv", "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=TRIAL_FIELDS)
             writer.writeheader()
@@ -291,10 +295,14 @@ def cmd_experiment(args) -> int:
         table = _format_table(rows, report.optimal_value, report.t_full)
         (out / "table.txt").write_text(table)
     except OSError as exc:
-        print(f"error: cannot write reports to {out}: {exc}", file=sys.stderr)
-        return 1
+        return _cannot_write(out, exc)
     print(table, end="")
     return 0
+
+
+def _cannot_write(out: Path, exc: OSError) -> int:
+    print(f"error: cannot write reports to {out}: {exc}", file=sys.stderr)
+    return 1
 
 
 def main(argv=None) -> int:

@@ -11,6 +11,7 @@ drivable cells where deliberation is unsafe.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from ..mdp import SspProblem, search_problem
@@ -101,14 +102,16 @@ def build_racetrack(
     """The reachable racetrack SSP and its pothole risk predicate.
 
     One `expand(state)` states the dynamics: each action's acceleration
-    mixture is built once per track, and per state each of the nine
-    accelerations is moved once. `search_problem` numbers the states.
+    mixture is built once per track, and each move is computed once per
+    (x, y, clamped velocity), a key that up to nine states share; the
+    numbering pass of `search_problem` and the record pass both read it.
     """
     track = parse_track(map_text)
     intended_prob = 1.0 - slip_prob - perturb_prob
     if intended_prob <= 0.0:
         raise ValueError("slip_prob + perturb_prob must stay below 1")
 
+    @functools.cache
     def move(x: int, y: int, vx: int, vy: int) -> tuple[int, int, int, int]:
         nx, ny = x + vx, y + vy
         cx, cy = x, y

@@ -17,9 +17,9 @@ view of the records.
 from __future__ import annotations
 
 import math
-from array import array
 from collections import deque
 from collections.abc import Callable, Hashable, Iterable, Mapping
+from itertools import chain
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -329,40 +329,35 @@ def compile_model(problem: SspProblem, start: int | None = None) -> CompiledMode
 
 def _flatten(problem: SspProblem, root: int) -> CompiledModel:
     states = np.array(sorted(reachable_states(problem, root)), dtype=np.int64)
-    first_pair = array("q", [0])
-    first_outcome = array("q", [0])
-    action = array("q")
-    cost = array("d")
-    succ = array("q")
-    prob = array("d")
-    cum = array("d")
-    for s in states.tolist():
-        acts, costs, dists = problem.record(s)
-        if not acts:
-            raise DeadEndError(f"state {s} has no applicable action")
-        action.extend(acts)
-        cost.extend(costs)
-        for dist in dists:
-            pair = len(first_outcome) - 1
-            acc = 0.0
-            for s2, p in dist:
-                acc += p
-                succ.append(s2)
-                prob.append(p)
-                cum.append(pair + acc)
-            cum[-1] = pair + 1.0
-            first_outcome.append(len(succ))
-        first_pair.append(len(first_outcome) - 1)
+    records = [problem.record(s) for s in states.tolist()]
+    n_acts = np.fromiter((len(r[0]) for r in records), np.int64, len(records))
+    if not n_acts.all():
+        raise DeadEndError(f"state {states[n_acts.argmin()]} has no applicable action")
+    dists = [d for r in records for d in r[2]]
+    outcomes = list(chain.from_iterable(dists))
+    n_pairs, n_outcomes = len(dists), len(outcomes)
+    counts = np.fromiter(map(len, dists), np.int64, n_pairs)
+    first_outcome = np.concatenate(([0], np.cumsum(counts)))
+    prob = np.fromiter(map(itemgetter(1), outcomes), np.float64, n_outcomes)
+    # Running sums from 0.0 in outcome order, one outcome rank at a time
+    # over all pairs: the additions of a plain per-pair loop.
+    acc = prob.copy()
+    for k in range(1, int(counts.max())):
+        j = first_outcome[:-1][counts > k] + k
+        acc[j] = acc[j - 1] + prob[j]
+    cum = np.repeat(np.arange(n_pairs), counts) + acc
+    cum[first_outcome[1:] - 1] = np.arange(1, n_pairs + 1)
+    succ = np.fromiter(map(itemgetter(0), outcomes), np.int64, n_outcomes)
     goals = problem.goals
     return CompiledModel(
         states=states,
-        first_pair=np.frombuffer(first_pair, dtype=np.int64),
-        first_outcome=np.frombuffer(first_outcome, dtype=np.int64),
-        action=np.frombuffer(action, dtype=np.int64),
-        cost=np.frombuffer(cost, dtype=np.float64),
-        succ=np.searchsorted(states, np.frombuffer(succ, dtype=np.int64)),
-        prob=np.frombuffer(prob, dtype=np.float64),
-        cum=np.frombuffer(cum, dtype=np.float64),
+        first_pair=np.concatenate(([0], np.cumsum(n_acts))),
+        first_outcome=first_outcome,
+        action=np.fromiter(chain.from_iterable(r[0] for r in records), np.int64, n_pairs),
+        cost=np.fromiter(chain.from_iterable(r[1] for r in records), np.float64, n_pairs),
+        succ=np.searchsorted(states, succ),
+        prob=prob,
+        cum=cum,
         goal=np.fromiter((s in goals for s in states.tolist()), dtype=bool, count=len(states)),
     )
 

@@ -1,8 +1,8 @@
 """Solvers: value iteration oracle, exact h_min heuristic, LAO*, and A*.
 
 Every solver reads the problem's per-state records: value iteration and
-h_min through its memoized compiled model, as one (pairs x states) sparse
-transition matrix, LAO* through the Bellman kernel, and A* directly. LAO*
+h_min through its memoized compiled model, as flat numpy arrays of pairs
+and outcomes, LAO* through the Bellman kernel, and A* directly. LAO*
 runs as ILAO*: each iteration is one depth-first pass over the greedy
 envelope that expands the tips it meets and backs its states up in
 postorder. Value iteration shares no code with it, so it stays an
@@ -30,7 +30,6 @@ from collections.abc import Callable, Iterator, Set
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .mdp import (
     CompiledModel,
@@ -79,16 +78,14 @@ class Solution:
         return self.values[self.start]
 
 
-def _transitions(model: CompiledModel) -> sparse.csr_array:
-    """The (pairs x states) transition matrix of the model, sharing its
-    arrays: row j holds the outcome probabilities of pair j."""
-    shape = (len(model.cost), len(model.states))
-    return sparse.csr_array((model.prob, model.succ, model.first_outcome), shape=shape)
-
-
 def _owners(model: CompiledModel) -> np.ndarray:
     """The position of the state each pair belongs to."""
     return np.repeat(np.arange(len(model.states)), np.diff(model.first_pair))
+
+
+def _outcome_pairs(model: CompiledModel) -> np.ndarray:
+    """The pair each outcome belongs to."""
+    return np.repeat(np.arange(len(model.cost)), np.diff(model.first_outcome))
 
 
 def solve_value_iteration(
@@ -100,15 +97,18 @@ def solve_value_iteration(
 
     The desk-scale oracle: Jacobi sweeps over the compiled model until the
     sup-norm residual drops below epsilon. A sweep computes every pair's
-    Q-value as its cost plus one sparse row product, takes each state's
-    minimum over its pairs and pins goals to 0. The policy takes the
-    lowest action among the minimal pairs.
+    Q-value as its cost plus its expected successor value, takes each
+    state's minimum over its pairs and pins goals to 0. The policy takes
+    the lowest action among the minimal pairs.
     """
     config = config or SolverConfig()
     root = problem.start if start is None else start
     t0 = time.perf_counter()
     model = compile_model(problem, root)
-    transitions = _transitions(model)
+    # bincount adds each pair's terms from 0.0 in outcome order, as a plain
+    # loop does (np.add.reduceat sums pairwise, so it would not be bit-equal).
+    pair_of = _outcome_pairs(model)
+    n_pairs = len(model.cost)
     first = model.first_pair[:-1]
     n = len(model.states)
 
@@ -116,7 +116,7 @@ def solve_value_iteration(
     q = model.cost
     converged = False
     for _ in range(config.max_iterations):
-        q = model.cost + transitions @ v
+        q = model.cost + np.bincount(pair_of, model.prob * v[model.succ], n_pairs)
         v_new = np.minimum.reduceat(q, first)
         v_new[model.goal] = 0.0
         residual = float(np.max(np.abs(v_new - v)))
@@ -159,17 +159,17 @@ def compute_hmin(
     KeyError for states not reachable from start.
     """
     model = compile_model(problem, start)
-    # Column s' of the transposed matrix lists each pair (s, a) with s' in
-    # its support: through it, s is a predecessor of s' at cost C(s, a).
-    # Edges and distances stay in numpy buffers read through memoryviews; a
-    # Python object per edge or per distance would lift peak memory above
-    # VI's.
-    into = _transitions(model).tocsc()
-    ptr = memoryview(into.indptr)
-    pairs = memoryview(into.indices)
+    # The outcomes into position s', grouped by s' in outcome order, list
+    # each pair (s, a) with s' in its support: through it, s is a
+    # predecessor of s' at cost C(s, a). Edges and distances stay in numpy
+    # buffers read through memoryviews; a Python object per edge or per
+    # distance would lift peak memory above VI's.
+    n = len(model.states)
+    ptr = memoryview(np.concatenate(([0], np.cumsum(np.bincount(model.succ, minlength=n)))))
+    pairs = memoryview(_outcome_pairs(model)[np.argsort(model.succ, kind="stable")])
     owner = memoryview(_owners(model))
     weight = memoryview(model.cost)
-    h = np.full(len(model.states), np.inf)
+    h = np.full(n, np.inf)
     dist = memoryview(h)
     frontier = [(0.0, g) for g in np.flatnonzero(model.goal).tolist()]  # sorted, so a heap
     for _, g in frontier:

@@ -2,6 +2,10 @@
 
 import csv
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -246,6 +250,17 @@ class TestExperiment:
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_unusable_out_fails_before_solving(self, tmp_path, capsys, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("run_experiment called despite an unusable --out")
+
+        monkeypatch.setattr(cli, "run_experiment", never)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        argv = ["--domain", "sailing", "--instance", "6M", "--trials", "5"]
+        assert main(["experiment", *argv, "--out", str(blocker / "out")]) == 1
+        assert "cannot write reports" in capsys.readouterr().err
+
     def test_aggregate_rows_are_the_reports_rows(self, tmp_path, capsys, monkeypatch):
         reports = []
 
@@ -273,3 +288,16 @@ class TestExperiment:
         for row in read_csv(tmp_path / "trials.csv", TIMING_TRIAL_COLS):
             digest.update((",".join(f"{k}={v}" for k, v in row.items()) + "\n").encode())
         assert digest.hexdigest() == PINNED_TRIALS[(domain, instance, models, seed)]
+
+
+def test_import_leaves_scipy_unloaded():
+    # Every experiment is a fresh process; scipy's import alone costs more
+    # than numpy's, so the package must plan without it.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, prmplan, prmplan.cli; print('scipy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -316,6 +316,8 @@ def fingerprint(problem, predicate):
 
 PINNED_MODELS = {
     ("racetrack", "ring-3"): "4f778b0d4b37dc68efaa214d7238d70b08f67e70f8cc8bca045b5c916fe0e67b",
+    ("racetrack", "zigzag-5"): "4b83ba3e9e2c7ca2b14496d70613fe1984c27ba55f14f8e2e47ca75f3a08cfef",
+    ("racetrack", "zigzag-6"): "b97c0ba097170a5143b96435ef645df82cfa5a1040cea142aaac297e273d8bb4",
     ("sailing", "8M"): "dbb117d2e198bb714cd724a66940a291f7f824d2682de9749b7a51e719764b77",
     ("ev", "gen-1"): "77e14ac626f4ef42373fb4213a34bbe24747f6c1f7f7458d467fbdcccc8c1c1f",
 }

@@ -2,7 +2,9 @@
 
 import argparse
 import math
+from array import array
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -396,7 +398,63 @@ class TestReachability:
         assert reachable_states(problem) == [0, 1]
 
 
+def flatten_reference(problem):
+    """The compiled arrays by a plain loop, one outcome at a time: states
+    sorted, pairs in record order, each pair's cumulative probabilities
+    summed from 0.0 in outcome order and shifted by the pair id, its last
+    entry set to exactly pair + 1, successors as positions in `states`."""
+    states = sorted(reachable_states(problem))
+    first_pair, first_outcome = array("q", [0]), array("q", [0])
+    action, cost, succ, prob, cum = array("q"), array("d"), array("q"), array("d"), array("d")
+    for s in states:
+        acts, costs, dists = problem.record(s)
+        action.extend(acts)
+        cost.extend(costs)
+        for dist in dists:
+            pair = len(first_outcome) - 1
+            acc = 0.0
+            for s2, p in dist:
+                acc += p
+                succ.append(s2)
+                prob.append(p)
+                cum.append(pair + acc)
+            cum[-1] = pair + 1.0
+            first_outcome.append(len(succ))
+        first_pair.append(len(first_outcome) - 1)
+    states = np.array(states, dtype=np.int64)
+    return {
+        "states": states,
+        "first_pair": np.frombuffer(first_pair, dtype=np.int64),
+        "first_outcome": np.frombuffer(first_outcome, dtype=np.int64),
+        "action": np.frombuffer(action, dtype=np.int64),
+        "cost": np.frombuffer(cost, dtype=np.float64),
+        "succ": np.searchsorted(states, np.frombuffer(succ, dtype=np.int64)),
+        "prob": np.frombuffer(prob, dtype=np.float64),
+        "cum": np.frombuffer(cum, dtype=np.float64),
+        "goal": np.array([problem.is_goal(s) for s in states.tolist()], dtype=bool),
+    }
+
+
 class TestCompileModel:
+    @pytest.mark.parametrize(
+        "instance",
+        [*(("random", seed) for seed in range(4)), ("sailing", "8M"), ("ev", "gen-1")],
+        ids=lambda spec: "-".join(map(str, spec)),
+    )
+    def test_equals_plain_loop_reference(self, instance):
+        # Same additions in the same order: every array is equal exactly.
+        if instance[0] == "random":
+            problem = random_proper_ssp(instance[1])
+        else:
+            problem, _ = build_instance(*instance)
+        model = compile_model(problem)
+        expected = flatten_reference(problem)
+        assert set(model._fields) == set(expected)
+        for field, want in expected.items():
+            got = getattr(model, field)
+            assert got.dtype == want.dtype, field
+            assert np.array_equal(got, want), field
+
     def test_memo_keyed_by_resolved_root(self, chain3):
         model = compile_model(chain3)
         assert compile_model(chain3, chain3.start) is model
