@@ -48,7 +48,6 @@ from .solvers import (
     Solution,
     SolverConfig,
     compute_hmin,
-    solve_deterministic,
     solve_lao_star,
     solve_value_iteration,
 )

@@ -198,9 +198,12 @@ def cmd_solve(args) -> int:
             print("oracle     DISAGREEMENT beyond 2*epsilon", file=sys.stderr)
             return 1
     if args.out:
-        with open(args.out, "w") as fh:
-            for s in sorted(solution.policy):
-                fh.write(f"{s} {solution.policy[s]}\n")
+        try:
+            with open(args.out, "w") as fh:
+                for s in sorted(solution.policy):
+                    fh.write(f"{s} {solution.policy[s]}\n")
+        except OSError as exc:
+            return _cannot_write(Path(args.out), exc)
         print(f"policy     written to {args.out}")
     return 0
 

@@ -15,7 +15,8 @@ by a seeded synthetic scenario generator.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+import math
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -58,33 +59,39 @@ class EvScenario:
     violation_penalty: float | None = None
 
     def validate(self) -> None:
-        if not 0 < self.goal_charge <= self.levels:
-            raise ValueError(
-                f"goal charge {self.goal_charge} outside 1..{self.levels}"
-            )
-        if not 0 <= self.start_charge <= self.levels:
-            raise ValueError(f"start charge {self.start_charge} outside 0..{self.levels}")
-        if len(self.buy_price) != self.horizon or len(self.sell_price) != self.horizon:
-            raise ValueError("price tables must cover every time step")
-        if len(self.peak_hours) != self.horizon:
-            raise ValueError("peak-hour mask must cover every time step")
-        for table in (self.buy_price, self.sell_price):
-            for row in table:
-                for pair in row:
-                    if any(v < 0 for v in pair):
-                        raise ValueError("prices must be non-negative")
-        for prob in (
-            self.announce_prob_window,
-            self.announce_prob_outside,
-            *self.price_switch,
-        ):
-            if not 0.0 <= prob <= 1.0:
-                raise ValueError(f"probability {prob} outside [0, 1]")
-        if len(self.demand_transition) != N_DEMAND:
-            raise ValueError("demand transition matrix must be 4x4")
-        for row in self.demand_transition:
-            if abs(sum(row) - 1.0) > 1e-9:
-                raise ValueError("demand transition rows must sum to 1")
+        """Raise ValueError naming the first field of the wrong type, shape
+        or range, since scenario files are outside input. Every action cost
+        comes out positive: with an inefficiency in [0, 1], r_max exceeds
+        every one-step reward by at least 1, and a given penalty is > 0."""
+        if not isinstance(self.name, str):
+            raise ValueError(f"name {self.name!r} is not a string")
+        _integer("horizon", self.horizon, 1, math.inf)
+        _integer("levels", self.levels, 1, math.inf)
+        _integer("start_charge", self.start_charge, 0, self.levels)
+        _integer("goal_charge", self.goal_charge, 1, self.levels)
+        _integer("start_demand", self.start_demand, 0, N_DEMAND - 1)
+        _integer("start_price", self.start_price, 0, N_PRICE - 1)
+        prices = (self.horizon, N_DEMAND, N_PRICE)
+        for name in ("buy_price", "sell_price"):
+            for price in _entries(name, getattr(self, name), prices):
+                _number(name, price, 0.0, math.inf)
+        _entries("peak_hours", self.peak_hours, (self.horizon,))
+        demand = (N_DEMAND, N_DEMAND)
+        for prob in _entries("demand_transition", self.demand_transition, demand):
+            _number("demand_transition", prob, 0.0, 1.0)
+        if any(abs(sum(row) - 1.0) > 1e-9 for row in self.demand_transition):
+            raise ValueError("demand_transition rows must sum to 1")
+        for prob in _entries("price_switch", self.price_switch, (N_PRICE,)):
+            _number("price_switch", prob, 0.0, 1.0)
+        _number("announce_prob_window", self.announce_prob_window, 0.0, 1.0)
+        _number("announce_prob_outside", self.announce_prob_outside, 0.0, 1.0)
+        for step in _entries("announce_window", self.announce_window, (2,)):
+            _integer("announce_window", step, 0, self.horizon)
+        _number("inefficiency", self.inefficiency, 0.0, 1.0)
+        if self.violation_penalty is not None:
+            _number("violation_penalty", self.violation_penalty, 0.0, math.inf)
+            if self.violation_penalty == 0:
+                raise ValueError("violation_penalty must be positive")
 
     @property
     def r_max(self) -> float:
@@ -112,6 +119,11 @@ class EvScenario:
     @classmethod
     def from_json(cls, text: str) -> "EvScenario":
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError("an EV scenario must be a JSON object")
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown EV scenario field(s) {', '.join(unknown)}")
 
         def tupled(value):
             if isinstance(value, list):
@@ -121,6 +133,29 @@ class EvScenario:
         scenario = cls(**{k: tupled(v) for k, v in data.items()})
         scenario.validate()
         return scenario
+
+
+def _integer(name: str, value, lo: float, hi: float) -> None:
+    if not isinstance(value, int) or isinstance(value, bool) or not lo <= value <= hi:
+        raise ValueError(f"{name} {value!r} is not an integer in [{lo}, {hi}]")
+
+
+def _number(name: str, value, lo: float, hi: float) -> None:
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not number or not lo <= value <= hi or not math.isfinite(value):
+        raise ValueError(f"{name} {value!r} is not a finite number in [{lo}, {hi}]")
+
+
+def _entries(name: str, value, shape: tuple[int, ...]) -> list:
+    """The innermost entries of `value`, a table of nested sequences of the
+    given shape (a price table is horizon x 4 x 2); ValueError naming the
+    field when the shape differs."""
+    entries = [value]
+    for n in shape:
+        if any(not isinstance(v, (tuple, list)) or len(v) != n for v in entries):
+            raise ValueError(f"{name} does not have shape {' x '.join(map(str, shape))}")
+        entries = [leaf for row in entries for leaf in row]
+    return entries
 
 
 def load_scenario(path: str | Path) -> EvScenario:

@@ -23,6 +23,8 @@ class MapParseError(ValueError):
 
 
 ACTIONS = tuple((ax, ay) for ay in (-1, 0, 1) for ax in (-1, 0, 1))
+# Each velocity component is clamped to [-MAX_SPEED, MAX_SPEED].
+MAX_SPEED = 5
 
 
 @dataclass(frozen=True)
@@ -96,7 +98,6 @@ def build_racetrack(
     map_text: str,
     slip_prob: float = 0.10,
     perturb_prob: float = 0.20,
-    max_speed: int = 5,
     name: str = "racetrack",
 ) -> tuple[SspProblem, RiskPredicate]:
     """The reachable racetrack SSP and its pothole risk predicate.
@@ -138,7 +139,7 @@ def build_racetrack(
     mixtures = [mixture(action) for action in ACTIONS]
 
     def clamp(v: int) -> int:
-        return max(-max_speed, min(max_speed, v))
+        return max(-MAX_SPEED, min(MAX_SPEED, v))
 
     def expand(state: tuple[int, int, int, int]):
         x, y, vx, vy = state

@@ -8,9 +8,9 @@ state their dynamics once, as `expand(state)` over their own state
 objects; `search_problem` numbers the states it reaches and wraps it as
 the callback. Each problem keeps one memo: the per-state record built on
 first use, and the `CompiledModel` that `compile_model` flattens from
-them once per root. The Bellman kernel, LAO*, A* and the model walkers
-read records; value iteration, h_min and the risk walker read the
-compiled model. The per-pair API (`actions`, `cost`, `transition`) is a
+them once per root. The Bellman kernel, LAO* and the model walkers read
+records; value iteration, h_min and the risk walker read the compiled
+model. The per-pair API (`actions`, `cost`, `transition`) is a
 view of the records.
 """
 

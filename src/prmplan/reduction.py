@@ -42,10 +42,6 @@ class OutcomeSelectionPrinciple:
         if self.kind == "greedy_k" and self.k < 1:
             raise ValueError("greedy_k needs k >= 1")
 
-    @property
-    def deterministic(self) -> bool:
-        return self.kind == "most_likely" or (self.kind == "greedy_k" and self.k == 1)
-
 
 MOST_LIKELY = OutcomeSelectionPrinciple("most_likely")
 FULL_MODEL = OutcomeSelectionPrinciple("full")
@@ -76,11 +72,6 @@ class ModelSelector:
     def principle(self, s: int, a: int) -> OutcomeSelectionPrinciple:
         raise NotImplementedError
 
-    @property
-    def deterministic(self) -> bool:
-        """True when every assignment is guaranteed to keep a single outcome."""
-        return False
-
     def summary(self, problem: SspProblem) -> str:
         """Per-principle assignment counts over all applicable reachable pairs."""
         counts: dict[str, int] = {}
@@ -103,10 +94,6 @@ class UniformSelector(ModelSelector):
 
     def principle(self, s: int, a: int) -> OutcomeSelectionPrinciple:
         return self._principle
-
-    @property
-    def deterministic(self) -> bool:
-        return self._principle.deterministic
 
 
 class TableSelector(ModelSelector):
@@ -180,10 +167,6 @@ class ReducedModel(SspProblem):
             kept = select_outcomes(principle(s, a), dist)
             reduced.append(dist if kept is dist else make_distribution(kept))
         return acts, costs, tuple(reduced)
-
-    @property
-    def deterministic(self) -> bool:
-        return self.selector.deterministic
 
 
 def build_reduced_model(

@@ -24,7 +24,6 @@ from .solvers import (
     Solution,
     SolverConfig,
     proper_hmin,
-    solve_deterministic,
     solve_lao_star,
     solve_value_iteration,
 )
@@ -130,19 +129,11 @@ def _solve_reduced(
     values: dict[int, float] | None = None,
     solved: Set[int] = frozenset(),
 ) -> Solution:
-    """Solve the reduced model from one state, falling back gracefully.
-
-    Deterministic reductions go to A*; everything else (and any A* dead end
-    caused by a goal-blocking determinization) goes to LAO*, which stops at
-    the `solved` states (see solve_lao_star). Nonconvergence on improper
+    """Solve the reduced model from one state with LAO*, which stops at the
+    `solved` states (see solve_lao_star). Nonconvergence on improper
     reductions yields the best greedy policy found, which is all the
     executor needs: the true model supplies the missing stochasticity.
     """
-    if reduced.deterministic:
-        try:
-            return solve_deterministic(reduced, start, config.heuristic)
-        except DeadEndError:
-            pass
     try:
         return solve_lao_star(reduced, start, config, values=values, solved=solved)
     except NonconvergenceError as exc:
@@ -151,8 +142,8 @@ def _solve_reduced(
 
 def _initial_plan(reduced: ReducedModel, config: SolverConfig) -> Solution:
     """The plan of a reduced model from s0, its solve_time set to the whole
-    call, fallbacks included. run_experiment times t_full and every other
-    model's initial plan here, each on a fresh reduction."""
+    call, the nonconvergence fallback included. run_experiment times t_full
+    and every other model's initial plan here, each on a fresh reduction."""
     t0 = time.perf_counter()
     initial = _solve_reduced(reduced, reduced.start, config)
     initial.solve_time = time.perf_counter() - t0

@@ -1,11 +1,11 @@
-"""Solvers: value iteration oracle, exact h_min heuristic, LAO*, and A*.
+"""Solvers: value iteration oracle, exact h_min heuristic and LAO*.
 
 Every solver reads the problem's per-state records: value iteration and
 h_min through its memoized compiled model, as flat numpy arrays of pairs
-and outcomes, LAO* through the Bellman kernel, and A* directly. LAO*
-runs as ILAO*: each iteration is one depth-first pass over the greedy
-envelope that expands the tips it meets and backs its states up in
-postorder. Value iteration shares no code with it, so it stays an
+and outcomes, LAO* through the Bellman kernel. LAO* plans every reduced
+model, determinized ones included, and runs as ILAO*: each iteration is
+one depth-first pass over the greedy envelope that expands the tips it
+meets and backs its states up in postorder. Value iteration shares no code with it, so it stays an
 independent oracle. `SolverConfig.max_iterations` bounds VI's sweeps and
 LAO*'s passes.
 
@@ -18,7 +18,7 @@ is closed over its own states, the solved ones and goals, so a labelled
 state's value depends only on other labelled states. Later solves only
 raise the values of the other states (h_min is consistent), which can only
 raise the Q-values of a labelled state's other actions, so its residual
-stays below epsilon. A stalled solve, A* and value iteration label nothing.
+stays below epsilon. A stalled solve and value iteration label nothing.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ import numpy as np
 
 from .mdp import (
     CompiledModel,
-    DeadEndError,
-    ModelError,
     Policy,
     SspProblem,
     bellman_backup,
@@ -62,7 +60,7 @@ class Solution:
     """A solver's (partial) policy, its value dict and its work counters.
     `solved` is the set of states labelled by a converged LAO* solve: its
     final pass's postorder, which is exactly the policy's states. It is
-    empty for a stalled LAO* solve, for A* and for VI."""
+    empty for a stalled LAO* solve and for VI."""
 
     policy: Policy
     values: dict[int, float]
@@ -318,58 +316,3 @@ def solve_lao_star(
         f"LAO* exceeded {config.max_iterations} passes", snapshot(order, False)
     )
 
-
-def solve_deterministic(
-    problem: SspProblem,
-    start: int | None = None,
-    heuristic: Callable[[int], float] | None = None,
-) -> Solution:
-    """A* over a deterministic model (every distribution has one outcome).
-
-    Returns a min-cost path policy; values along the path hold the
-    remaining cost to the goal. Raises DeadEndError when no goal is
-    reachable and ModelError on stochastic input.
-    """
-    root = problem.start if start is None else start
-    t0 = time.perf_counter()
-    h = heuristic or (lambda s: 0.0)
-    g_cost: dict[int, float] = {root: 0.0}
-    parent: dict[int, tuple[int, int]] = {}
-    closed: set[int] = set()
-    counter = 0
-    frontier: list[tuple[float, int, int]] = [(float(h(root)), counter, root)]
-    goal = None
-    while frontier:
-        _, _, s = heapq.heappop(frontier)
-        if s in closed:
-            continue
-        closed.add(s)
-        if problem.is_goal(s):
-            goal = s
-            break
-        for a, c, dist in zip(*problem.record(s)):
-            if len(dist) != 1:
-                raise ModelError(
-                    f"stochastic outcome at (s={s}, a={a}); A* needs a determinized model"
-                )
-            s2 = dist[0][0]
-            new_g = g_cost[s] + c
-            if s2 not in g_cost or new_g < g_cost[s2]:
-                g_cost[s2] = new_g
-                parent[s2] = (s, a)
-                counter += 1
-                heapq.heappush(frontier, (new_g + float(h(s2)), counter, s2))
-    if goal is None:
-        raise DeadEndError(f"no goal reachable from state {root} in determinized model")
-
-    policy: Policy = {}
-    values: dict[int, float] = {}
-    total = g_cost[goal]
-    s = goal
-    values[s] = 0.0
-    while s != root:
-        prev, a = parent[s]
-        policy[prev] = a
-        values[prev] = total - g_cost[prev]
-        s = prev
-    return Solution(policy, values, len(closed), time.perf_counter() - t0, root, True)

@@ -2,6 +2,7 @@
 
 import csv
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -29,6 +30,13 @@ PINNED_TRIALS = {
     # Replan-heavy: 24 m02 and 61 rm01 replans over the 10 trials.
     ("racetrack", "zigzag-4", "m02,rm01", 1): (
         "a15bca322bff92e2f91ba4cb5620880df660c0d299221b39850e0e73e1127f02"
+    ),
+    # A deterministic reduction: 75 and 99 mlod replans over the 10 trials.
+    ("racetrack", "zigzag-4", "mlod", 1): (
+        "717b48e41055d7435deec687a059cfe6af31ac0c22c7f1416a86123e4a6eecf4"
+    ),
+    ("racetrack", "zigzag-4", "mlod", 2): (
+        "2c08b9a7bbe658539ad37a3b3d0913e57acfa721e7869c846e5fcc2c91b43a0f"
     ),
     ("ev", "gen-1", "rm01", 1): "8709911c0dbe105c778e022ca276ede8553312a048b2cbc586d32a619071c577",
     ("ev", "gen-1", "rm01", 2): "f00b63673b94ee967388ac3836ed3a213420368ec431da6a2ee301f75363e345",
@@ -140,6 +148,14 @@ class TestSolve:
         for line in lines:
             sid, action = line.split()
             assert int(sid) >= 0 and 0 <= int(action) < 8
+
+    def test_unwritable_policy_dump_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "policy.txt"
+        argv = ["solve", "--domain", "sailing", "--instance", "6M", "--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "error: cannot write" in err
+        assert "Traceback" not in err
 
 
 class TestExperiment:
@@ -260,6 +276,32 @@ class TestExperiment:
         argv = ["--domain", "sailing", "--instance", "6M", "--trials", "5"]
         assert main(["experiment", *argv, "--out", str(blocker / "out")]) == 1
         assert "cannot write reports" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("colour", "red"),  # not a scenario field
+            ("start_demand", 9),
+            ("start_price", 5),
+            ("buy_price", [[[1.0, 1.2]] * 3] * 16),  # 3 demand levels, not 4
+            ("levels", "8"),
+            ("violation_penalty", -1000.0),
+            ("violation_penalty", 0.0),
+            ("inefficiency", 2.0),  # negative idle cost
+        ],
+    )
+    def test_invalid_ev_scenario_file_exits_2(self, tmp_path, capsys, field, value):
+        from prmplan.domains import generate_ev_scenarios
+
+        data = json.loads(generate_ev_scenarios(2, seed=0)[1].to_json())
+        data[field] = value
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(data))
+        argv = ["--domain", "ev", "--instance", str(path), "--trials", "1"]
+        assert main(["experiment", *argv, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert field in err
+        assert "Traceback" not in err
 
     def test_aggregate_rows_are_the_reports_rows(self, tmp_path, capsys, monkeypatch):
         reports = []

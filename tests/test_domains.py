@@ -8,7 +8,7 @@ import pytest
 
 from prmplan import (
     reachable_states,
-    solve_deterministic,
+    solve_lao_star,
     solve_value_iteration,
     validate_problem,
 )
@@ -101,15 +101,15 @@ class TestRacetrackModel:
         row = "XS" + "." * (length - 1) + "GX"
         text = "\n".join(("X" * len(row), row, "X" * len(row)))
         problem, _ = build_racetrack(text, slip_prob=0.0, perturb_prob=0.0)
-        astar = solve_deterministic(problem).start_value
+        lao = solve_lao_star(problem).start_value
         vi = solve_value_iteration(problem).start_value
-        assert astar == pytest.approx(vi, abs=2e-3)
+        assert lao == pytest.approx(vi, abs=2e-3)
         # Optimal bang-bang driving: cost grows with corridor length.
         if length > 3:
             shorter = "XS" + "." * (length - 4) + "GX"
             text2 = "\n".join(("X" * len(shorter), shorter, "X" * len(shorter)))
             problem2, _ = build_racetrack(text2, slip_prob=0.0, perturb_prob=0.0)
-            assert astar >= solve_deterministic(problem2).start_value
+            assert lao >= solve_lao_star(problem2).start_value
 
     def test_invalid_probabilities_rejected(self):
         with pytest.raises(ValueError):
@@ -180,7 +180,7 @@ class TestEvModel:
     def test_scenario_validation(self):
         scenario = generate_ev_scenarios(1, seed=0)[0]
         bad = EvScenario(**{**scenario.__dict__, "goal_charge": 99})
-        with pytest.raises(ValueError, match="goal charge"):
+        with pytest.raises(ValueError, match="goal_charge"):
             bad.validate()
 
     def test_costs_strictly_positive_off_goal(self, small_ev):

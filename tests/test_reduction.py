@@ -46,12 +46,6 @@ class TestPrinciples:
         with pytest.raises(ValueError):
             OutcomeSelectionPrinciple("greedy_k", 0)
 
-    def test_determinism_flags(self):
-        assert MOST_LIKELY.deterministic
-        assert OutcomeSelectionPrinciple("greedy_k", 1).deterministic
-        assert not M02.deterministic
-        assert not FULL_MODEL.deterministic
-
 
 class TestSelectOutcomes:
     def test_most_likely_keeps_argmax(self):
@@ -111,7 +105,6 @@ class TestBuildReducedModel:
     def test_mlod_selector_determinizes(self, risky_fork):
         problem, _ = risky_fork
         reduced = build_reduced_model(problem, UniformSelector(MOST_LIKELY))
-        assert reduced.deterministic
         for s in reachable_states(problem):
             for a in problem.actions(s):
                 assert len(reduced.transition(s, a)) == 1

@@ -144,8 +144,9 @@ class TestRunTrial:
 
 @pytest.fixture(scope="module")
 def replanned_reductions():
-    """(label, base, reduced, predicate, h_min of the base) for the m02 and
-    rm01 reductions of ring-3 and zigzag-4, whose trials replan often."""
+    """(label, base, reduced, predicate, h_min of the base) for the mlod,
+    m02 and rm01 reductions of ring-3 and zigzag-4, whose trials replan
+    often."""
     import argparse
 
     from prmplan.cli import _make_selector
@@ -157,7 +158,7 @@ def replanned_reductions():
     for instance in ("ring-3", "zigzag-4"):
         base, predicate = build_instance("racetrack", instance)
         hmin = proper_hmin(base)
-        for name in ("m02", "rm01"):
+        for name in ("mlod", "m02", "rm01"):
             reduced = build_reduced_model(base, _make_selector(name, base, predicate, args))
             out.append((f"{instance}-{name}", base, reduced, predicate, hmin))
     return out

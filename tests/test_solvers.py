@@ -1,4 +1,4 @@
-"""Solvers: VI oracle, LAO*, h_min heuristic, and the deterministic A* path."""
+"""Solvers: VI oracle, LAO* and the h_min heuristic."""
 
 import argparse
 import math
@@ -7,15 +7,12 @@ import numpy as np
 import pytest
 
 from prmplan import (
-    DeadEndError,
-    ModelError,
     NonconvergenceError,
     SolverConfig,
     bellman_backup,
     build_reduced_model,
     compute_hmin,
     reachable_states,
-    solve_deterministic,
     solve_lao_star,
     solve_value_iteration,
     tabular_problem,
@@ -427,31 +424,7 @@ class TestHmin:
 
 
 class TestDeterministicSolver:
-    def test_chain_path_cost(self, chain3):
-        solution = solve_deterministic(chain3)
-        assert solution.start_value == 2.0
-        assert solution.policy == {0: 0, 1: 0}
-        assert solution.solved == frozenset()  # A* labels nothing
-
-    def test_start_is_goal(self, chain3):
-        solution = solve_deterministic(chain3, start=2)
-        assert solution.policy == {}
-        assert solution.start_value == 0.0
-
-    def test_no_path_raises_dead_end(self):
-        problem = tabular_problem(
-            transitions={(0, 0): [(1, 1.0)], (1, 0): [(0, 1.0)]},
-            costs={(0, 0): 1.0, (1, 0): 1.0},
-            start=0,
-            goals={2},
-            n_states=3,
-        )
-        with pytest.raises(DeadEndError):
-            solve_deterministic(problem)
-
-    def test_stochastic_input_rejected(self, self_loop):
-        with pytest.raises(ModelError):
-            solve_deterministic(self_loop)
+    """A determinized model is planned by LAO* like any other."""
 
     def test_matches_vi_on_deterministic_model(self):
         problem = tabular_problem(
@@ -465,6 +438,7 @@ class TestDeterministicSolver:
             start=0,
             goals={3},
         )
-        astar = solve_deterministic(problem).start_value
-        vi = solve_value_iteration(problem).start_value
-        assert astar == pytest.approx(vi, abs=2 * EPS)
+        lao = solve_lao_star(problem)
+        vi = solve_value_iteration(problem)
+        assert lao.start_value == pytest.approx(vi.start_value, abs=2 * EPS)
+        assert lao.policy == {0: 0, 1: 0}
