@@ -2,7 +2,6 @@
 
 from .mdp import (
     CompiledModel,
-    DeadEndError,
     ModelError,
     Policy,
     SspProblem,
@@ -12,7 +11,6 @@ from .mdp import (
     reachable_states,
     search_problem,
     tabular_problem,
-    validate_problem,
 )
 from .reduction import (
     FULL_MODEL,
@@ -48,6 +46,7 @@ from .solvers import (
     Solution,
     SolverConfig,
     compute_hmin,
+    proper_hmin,
     solve_lao_star,
     solve_value_iteration,
 )

@@ -74,29 +74,30 @@ def build_instance(
     raise ValueError(f"unknown domain {domain!r}; choose racetrack, sailing, or ev")
 
 
+# (name, (domain, instance)) of the shipped instances, built by build_instance.
+_DESK = (
+    ("racetrack-ring-3", ("racetrack", "ring-3")),
+    ("racetrack-zigzag-5", ("racetrack", "zigzag-5")),
+    ("sailing-8(M)", ("sailing", "8M")),
+    ("sailing-10(M)", ("sailing", "10M")),
+    ("ev-gen-1", ("ev", "gen-1")),
+    ("ev-gen-6", ("ev", "gen-6")),
+)
+_LARGE = (
+    ("racetrack-zigzag-8", ("racetrack", "zigzag-8")),
+    ("racetrack-square-3", ("racetrack", "square-3")),
+)
+
+
+def _build_all(table) -> list[tuple[str, SspProblem, RiskPredicate]]:
+    return [(name, *build_instance(*spec)) for name, spec in table]
+
+
 def desk_instances() -> list[tuple[str, SspProblem, RiskPredicate]]:
     """The small shipped instances used by tests and the acceptance suite."""
-    out = []
-    for name, spec in (
-        ("racetrack-ring-3", ("racetrack", "ring-3")),
-        ("racetrack-zigzag-5", ("racetrack", "zigzag-5")),
-        ("sailing-8(M)", ("sailing", "8M")),
-        ("sailing-10(M)", ("sailing", "10M")),
-        ("ev-gen-1", ("ev", "gen-1")),
-        ("ev-gen-6", ("ev", "gen-6")),
-    ):
-        problem, predicate = build_instance(*spec)
-        out.append((name, problem, predicate))
-    return out
+    return _build_all(_DESK)
 
 
 def large_instances() -> list[tuple[str, SspProblem, RiskPredicate]]:
     """Shipped instances with >= 10^4 reachable states (timing comparisons)."""
-    out = []
-    for name, spec in (
-        ("racetrack-zigzag-8", ("racetrack", "zigzag-8")),
-        ("racetrack-square-3", ("racetrack", "square-3")),
-    ):
-        problem, predicate = build_instance(*spec)
-        out.append((name, problem, predicate))
-    return out
+    return _build_all(_LARGE)

@@ -87,6 +87,8 @@ class EvScenario:
         _number("announce_prob_outside", self.announce_prob_outside, 0.0, 1.0)
         for step in _entries("announce_window", self.announce_window, (2,)):
             _integer("announce_window", step, 0, self.horizon)
+        if self.announce_window[0] > self.announce_window[1]:
+            raise ValueError(f"announce_window {list(self.announce_window)} starts after it ends")
         _number("inefficiency", self.inefficiency, 0.0, 1.0)
         if self.violation_penalty is not None:
             _number("violation_penalty", self.violation_penalty, 0.0, math.inf)

@@ -51,7 +51,7 @@ def parse_track(text: str) -> TrackMap:
     if not lines:
         raise MapParseError("empty map")
     width = len(lines[0])
-    starts: list[tuple[int, int]] = []
+    start: tuple[int, int] | None = None
     goals: set[tuple[int, int]] = set()
     potholes: set[tuple[int, int]] = set()
     for y, line in enumerate(lines):
@@ -59,18 +59,20 @@ def parse_track(text: str) -> TrackMap:
             raise MapParseError(f"ragged row at line {y + 1}: {len(line)} != {width}")
         for x, ch in enumerate(line):
             if ch == "S":
-                starts.append((x, y))
+                if start is not None:
+                    raise MapParseError(f"second start 'S' at line {y + 1}, column {x + 1}")
+                start = (x, y)
             elif ch == "G":
                 goals.add((x, y))
             elif ch == "P":
                 potholes.add((x, y))
             elif ch not in ".X":
                 raise MapParseError(f"unknown character {ch!r} at line {y + 1}, column {x + 1}")
-    if not starts:
+    if start is None:
         raise MapParseError("map has no start cell 'S'")
     if not goals:
         raise MapParseError("map has no goal cell 'G'")
-    return TrackMap(tuple(lines), starts[0], frozenset(goals), frozenset(potholes))
+    return TrackMap(tuple(lines), start, frozenset(goals), frozenset(potholes))
 
 
 def _line_cells(x0: int, y0: int, x1: int, y1: int):

@@ -41,11 +41,8 @@ Policy = dict[int, int]
 
 
 class ModelError(ValueError):
-    """Malformed problem data: bad distribution, cost sign, or action id."""
-
-
-class DeadEndError(RuntimeError):
-    """A state with no applicable action, or no remaining route to a goal."""
+    """Malformed problem data: a non-goal state with no applicable action, a
+    cost that is not > 0, a bad distribution, or an inapplicable action id."""
 
 
 def make_distribution(entries: Iterable[tuple[int, float]]) -> Distribution:
@@ -78,11 +75,13 @@ class SspProblem:
     """Explicit-state SSP ⟨states, actions, transition, cost, start, goals⟩.
 
     `expand_fn(s)` yields `(action, cost, outcomes)` for every applicable
-    action of a non-goal s, in any order; it is never called on a goal.
-    `record(s)` holds those actions in id order, their costs and their
-    validated distributions, memoized per state; a goal's record is one
-    zero-cost self-loop on action 0. `actions`, `cost` and `transition`
-    read it. `compile_model` memoizes its flat arrays beside the records.
+    action of a non-goal s, in any order; it is never called on a goal. It
+    yields at least one action, and each costs > 0 (inf included), as an
+    SSP needs. `record(s)` holds those actions in id order, their costs and
+    their validated distributions, memoized per state; building it is where
+    the model is checked. A goal's record is one zero-cost self-loop on
+    action 0. `actions`, `cost` and `transition` read it. `compile_model`
+    memoizes its flat arrays beside the records.
     Immutable after construction (the memos fill idempotently), so one
     instance can back any number of concurrent solves and trials.
     """
@@ -108,8 +107,8 @@ class SspProblem:
 
     def record(self, s: int) -> StateRecord:
         """The applicable actions of s in id order, with their costs and
-        distributions, as three parallel tuples. A ModelError names the pair
-        that raised it, and a record whose build raised is not kept."""
+        distributions, as three parallel tuples. A ModelError names the state
+        or pair that raised it, and a record whose build raised is not kept."""
         rec = self._record_memo.get(s)
         if rec is None:
             rec = self._record_memo[s] = self._build_record(s)
@@ -119,9 +118,13 @@ class SspProblem:
         if s in self.goals:
             return (0,), (0.0,), (((s, 1.0),),)
         entries = sorted(self._expand_fn(s), key=itemgetter(0))
+        if not entries:
+            raise ModelError(f"state {s} is not a goal and has no applicable action")
         dists = []
-        for a, _, outcomes in entries:
+        for a, c, outcomes in entries:
             try:
+                if not c > 0.0:  # nan fails too
+                    raise ModelError(f"cost {c} is not > 0")
                 dists.append(make_distribution(outcomes))
             except ModelError as exc:
                 raise ModelError(f"at (s={s}, a={a}): {exc}") from None
@@ -235,12 +238,9 @@ def bellman_backup(
     Reads the state's record and `values` directly; an unseen successor
     gets `heuristic(s2)` (0.0 without one), stored in `values`.
     Ties within a relative TIE_TOL break toward the lowest action id, so
-    that rounding in the order of backups does not pick the action. Raises
-    DeadEndError when the state has no applicable action (improper model).
+    that rounding in the order of backups does not pick the action.
     """
     acts, costs, dists = problem.record(s)
-    if not acts:
-        raise DeadEndError(f"state {s} has no applicable action")
     best_q = math.inf
     best_a = acts[0]
     # A later action must beat best_q by the tolerance. While best_q is inf
@@ -318,8 +318,8 @@ class CompiledModel(NamedTuple):
 def compile_model(problem: SspProblem, start: int | None = None) -> CompiledModel:
     """The problem's records over the states reachable from start (default
     s0), flattened once per root and memoized on the problem. A goal's
-    zero-cost self-loop makes it absorbing. Raises DeadEndError for a state
-    without actions."""
+    zero-cost self-loop makes it absorbing. A record that fails its checks
+    raises its ModelError here."""
     root = problem.start if start is None else start
     model = problem._compiled_memo.get(root)
     if model is None:
@@ -331,8 +331,6 @@ def _flatten(problem: SspProblem, root: int) -> CompiledModel:
     states = np.array(sorted(reachable_states(problem, root)), dtype=np.int64)
     records = [problem.record(s) for s in states.tolist()]
     n_acts = np.fromiter((len(r[0]) for r in records), np.int64, len(records))
-    if not n_acts.all():
-        raise DeadEndError(f"state {states[n_acts.argmin()]} has no applicable action")
     dists = [d for r in records for d in r[2]]
     outcomes = list(chain.from_iterable(dists))
     n_pairs, n_outcomes = len(dists), len(outcomes)
@@ -360,49 +358,3 @@ def _flatten(problem: SspProblem, root: int) -> CompiledModel:
         cum=cum,
         goal=np.fromiter((s in goals for s in states.tolist()), dtype=bool, count=len(states)),
     )
-
-
-def validate_problem(problem: SspProblem) -> list[str]:
-    """Check model well-formedness; violations are returned, not raised.
-
-    Covers: distribution normalization, positive non-goal costs, no dead
-    ends, and properness (a goal is reachable from every state reachable
-    from s0). Goals are absorbing by construction.
-    """
-    violations: list[str] = []
-    try:
-        states = reachable_states(problem)
-    except ModelError as exc:
-        return [f"transition error during reachability sweep: {exc}"]
-
-    successors: dict[int, list[int]] = {}
-    for s in states:
-        if problem.is_goal(s):
-            continue
-        acts, costs, dists = problem.record(s)
-        if not acts:
-            violations.append(f"dead end: state {s} has no applicable action")
-            continue
-        for a, c in zip(acts, costs):
-            if not c > 0.0:
-                violations.append(f"cost sign violation: cost({s},{a}) = {c} <= 0")
-        successors[s] = [s2 for dist in dists for s2, _ in dist]
-
-    # Properness: reverse reachability from the goals over the forward graph.
-    reverse: dict[int, list[int]] = {s: [] for s in states}
-    for s, succ in successors.items():
-        for s2 in succ:
-            if s2 in reverse:
-                reverse[s2].append(s)
-    can_reach_goal = {s for s in states if problem.is_goal(s)}
-    queue = deque(can_reach_goal)
-    while queue:
-        s = queue.popleft()
-        for prev in reverse.get(s, ()):
-            if prev not in can_reach_goal:
-                can_reach_goal.add(prev)
-                queue.append(prev)
-    for s in states:
-        if s not in can_reach_goal:
-            violations.append(f"proper-policy violation: no goal reachable from state {s}")
-    return violations

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mdp import DeadEndError, SspProblem
+from .mdp import SspProblem
 from .reduction import FULL_MODEL, ModelSelector, ReducedModel, UniformSelector
 from .risk import RiskPredicate
 from .solvers import (
@@ -198,9 +198,7 @@ def run_trial(
             stats.replan_time += time.perf_counter() - t0
             policy.update(solution.policy)
             solved |= solution.solved
-            a = policy.get(s)
-            if a is None:
-                raise DeadEndError(f"replanning produced no action for state {s}")
+            a = policy[s]  # every LAO* pass backs up its start
         stats.total_cost += base.cost(s, a)
         dist = base.transition(s, a)
         u = rng.random()

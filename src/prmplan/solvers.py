@@ -151,7 +151,7 @@ def compute_hmin(
     h_min is the fixpoint of ``h(s) = min_a [C(s,a) + min_{s'} h(s')]`` over
     the support of (s, a), with h = 0 on goals and inf where no goal is
     reachable. One backward Dijkstra pass from the goals computes it, which
-    needs non-negative costs (validate_problem checks them). It is
+    needs non-negative costs (every record checks that they are > 0). It is
     consistent on the edges of the base model and so of every reduced model,
     whose supports are subsets. `config` is unused. The returned h raises
     KeyError for states not reachable from start.

@@ -288,6 +288,7 @@ class TestExperiment:
             ("violation_penalty", -1000.0),
             ("violation_penalty", 0.0),
             ("inefficiency", 2.0),  # negative idle cost
+            ("announce_window", [12, 8]),  # reversed: the window is never open
         ],
     )
     def test_invalid_ev_scenario_file_exits_2(self, tmp_path, capsys, field, value):

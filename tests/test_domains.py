@@ -7,10 +7,10 @@ from fractions import Fraction
 import pytest
 
 from prmplan import (
+    proper_hmin,
     reachable_states,
     solve_lao_star,
     solve_value_iteration,
-    validate_problem,
 )
 from prmplan.domains import build_instance, desk_instances
 from prmplan.domains.ev import (
@@ -44,6 +44,10 @@ class TestTrackParsing:
             parse_track("X.G\nXXX")
         with pytest.raises(MapParseError, match="goal"):
             parse_track("X.S\nXXX")
+
+    def test_second_start_located(self):
+        with pytest.raises(MapParseError, match="second start 'S' at line 2, column 4"):
+            parse_track("XXXXXX\nXS.SGX\nXXXXXX")
 
     def test_builtin_tracks_parse(self):
         for name, make in BUILTIN_TRACKS.items():
@@ -117,7 +121,7 @@ class TestRacetrackModel:
 
     def test_tiny_track_validates(self, tiny_racetrack):
         problem, _ = tiny_racetrack
-        assert validate_problem(problem) == []
+        proper_hmin(problem)
 
 
 class TestSailingModel:
@@ -173,7 +177,7 @@ class TestSailingModel:
 
     def test_small_grid_validates(self, small_sailing):
         problem, _ = small_sailing
-        assert validate_problem(problem) == []
+        proper_hmin(problem)
 
 
 class TestEvModel:
@@ -257,7 +261,7 @@ class TestEvModel:
 
     def test_small_ev_validates(self, small_ev):
         problem, _ = small_ev
-        assert validate_problem(problem) == []
+        proper_hmin(problem)
 
 
 class TestRegistry:
@@ -280,7 +284,7 @@ class TestRegistry:
 
     def test_desk_instances_validate(self):
         for name, problem, predicate in desk_instances():
-            assert validate_problem(problem) == [], name
+            proper_hmin(problem)
             assert not any(predicate(g) for g in problem.goals), name
             for g in problem.goals:
                 assert problem.record(g) == ((0,), (0.0,), (((g, 1.0),),)), name

@@ -1,4 +1,4 @@
-"""Core model layer: distributions, backups, reachability, validation."""
+"""Core model layer: distributions, backups, reachability, model checks."""
 
 import argparse
 import math
@@ -13,7 +13,6 @@ from test_solvers import random_proper_ssp
 from prmplan import (
     FULL_MODEL,
     MOST_LIKELY,
-    DeadEndError,
     ModelError,
     SelectorError,
     SolverConfig,
@@ -25,13 +24,13 @@ from prmplan import (
     compile_model,
     compute_hmin,
     make_distribution,
+    proper_hmin,
     reachable_states,
     search_problem,
     select_outcomes,
     solve_lao_star,
     solve_value_iteration,
     tabular_problem,
-    validate_problem,
 )
 from prmplan.cli import _make_selector
 from prmplan.domains import build_instance
@@ -47,8 +46,6 @@ def reference_backup(problem, values, s, heuristic=None):
     when its Q is lower by more than a relative 1e-12 (any finite Q beats
     an infinite best)."""
     acts = problem.actions(s)
-    if not acts:
-        raise DeadEndError(f"state {s} has no applicable action")
     best_q = best_a = None
     for a in acts:
         q = problem.cost(s, a)
@@ -151,7 +148,7 @@ class TestBellmanBackup:
 
     def test_dead_end_raises(self):
         problem = SspProblem(n_states=2, start=0, goals={1}, expand_fn=lambda s: [])
-        with pytest.raises(DeadEndError):
+        with pytest.raises(ModelError, match="state 0 is not a goal and has no applicable action"):
             bellman_backup(problem, {}, 0)
 
     def test_heuristic_fill_stored_once(self, self_loop):
@@ -370,7 +367,7 @@ class TestSearchProblem:
         lao = solve_lao_star(problem, config=SolverConfig(epsilon=1e-9))
         vi = solve_value_iteration(problem, SolverConfig(epsilon=1e-9))
         assert lao.start_value == pytest.approx(vi.start_value, abs=1e-6)
-        assert validate_problem(problem) == []
+        proper_hmin(problem)
 
     def test_hand_built_goal_needs_no_expand_fn(self):
         # A hand-built problem whose callback raises on its goal solves too.
@@ -469,8 +466,11 @@ class TestCompileModel:
 
 
 class TestValidateProblem:
+    """A problem is checked where each state's record is built; `proper_hmin`
+    checks every state reachable from s0 that way and then its properness."""
+
     def test_well_formed_chain(self, chain3):
-        assert validate_problem(chain3) == []
+        assert proper_hmin(chain3)(0) == 2.0
 
     def test_goals_absorb_in_tabular(self, chain3):
         assert chain3.record(2) == ((0,), (0.0,), (((2, 1.0),),))
@@ -482,16 +482,17 @@ class TestValidateProblem:
             goals={1},
             expand_fn=lambda s: [(0, 0.0, [(1, 1.0)])] if s == 1 else [(0, 1.0, [(1, 0.9)])],
         )
-        violations = validate_problem(problem)
-        assert any("s=0" in v and "mass" in v for v in violations)
+        with pytest.raises(ModelError, match=r"s=0.*mass"):
+            proper_hmin(problem)
 
     def test_violation_names_the_pair_once(self):
         # s0 -> goal(1), with only half the mass on s0's one action.
         problem = SspProblem(
             n_states=2, start=0, goals={1}, expand_fn=lambda s: [(0, 1.0, [(1, 0.5)])]
         )
-        (violation,) = validate_problem(problem)
-        assert violation.count("(s=0, a=0)") == 1, violation
+        with pytest.raises(ModelError) as info:
+            proper_hmin(problem)
+        assert str(info.value).count("(s=0, a=0)") == 1, info.value
 
     def test_trap_state_reported(self):
         problem = tabular_problem(
@@ -500,18 +501,31 @@ class TestValidateProblem:
             start=0,
             goals={2},
         )
-        violations = validate_problem(problem)
-        assert any("state 1" in v and "proper" in v for v in violations)
+        with pytest.raises(ValueError, match="state 1 is reachable from s0 but reaches no goal"):
+            proper_hmin(problem)
 
     def test_cost_sign_violation_reported(self):
+        # The pair (1, 0) is reached only through s0, so the whole reachable
+        # model is checked, not just the start's record.
+        for cost in (0.0, -1.0, math.nan):
+            problem = tabular_problem(
+                transitions={(0, 0): [(1, 1.0)], (1, 0): [(2, 1.0)]},
+                costs={(0, 0): 1.0, (1, 0): cost},
+                start=0,
+                goals={2},
+            )
+            with pytest.raises(ModelError) as info:
+                proper_hmin(problem)
+            assert str(info.value) == f"at (s=1, a=0): cost {cost} is not > 0"
+
+    def test_infinite_cost_passes(self):
         problem = tabular_problem(
-            transitions={(0, 0): [(1, 1.0)]},
-            costs={(0, 0): 0.0},
+            transitions={(0, 0): [(1, 1.0)], (0, 1): [(1, 1.0)]},
+            costs={(0, 0): math.inf, (0, 1): 2.0},
             start=0,
             goals={1},
         )
-        violations = validate_problem(problem)
-        assert any("cost sign" in v for v in violations)
+        assert proper_hmin(problem)(0) == 2.0
 
     def test_inapplicable_action_rejected(self, chain3):
         with pytest.raises(ModelError, match="not applicable"):

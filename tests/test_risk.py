@@ -8,7 +8,7 @@ import pytest
 from prmplan import (
     FULL_MODEL,
     MOST_LIKELY,
-    DeadEndError,
+    ModelError,
     RiskPredicate,
     RiskProfile,
     UniformSelector,
@@ -160,7 +160,7 @@ class TestPairTable:
         problem = tabular_problem(
             transitions={(0, 0): [(1, 0.5), (2, 0.5)]}, costs={(0, 0): 1.0}, start=0, goals={2}
         )
-        with pytest.raises(DeadEndError, match="state 1"):
+        with pytest.raises(ModelError, match="state 1 is not a goal and has no applicable action"):
             compile_model(problem)
 
     def test_every_draw_lands_in_its_pair(self, domain_table):

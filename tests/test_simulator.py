@@ -8,6 +8,7 @@ from prmplan import (
     FULL_MODEL,
     M02,
     MOST_LIKELY,
+    ModelError,
     ModelResult,
     ModelSelector,
     ReducedModel,
@@ -451,6 +452,24 @@ class TestRunExperiment:
         assert [t.total_cost for t in serial.results[0].trials] == [
             t.total_cost for t in parallel.results[0].trials
         ]
+
+    def test_zero_cost_pair_rejected_before_any_solve(self, monkeypatch):
+        from prmplan import simulator
+
+        def never(*args, **kwargs):
+            raise AssertionError("solved a model with a zero-cost pair")
+
+        monkeypatch.setattr(simulator, "solve_value_iteration", never)
+        monkeypatch.setattr(simulator, "solve_lao_star", never)
+        problem = tabular_problem(
+            transitions={(0, 0): [(1, 1.0)], (1, 0): [(2, 1.0)]},
+            costs={(0, 0): 1.0, (1, 0): 0.0},
+            start=0,
+            goals={2},
+        )
+        predicate = RiskPredicate(evaluate=lambda s: False)
+        with pytest.raises(ModelError, match=r"\(s=1, a=0\): cost 0.0 is not > 0"):
+            run_experiment(problem, [("full", UniformSelector(FULL_MODEL))], predicate)
 
     def test_trials_validated(self, risky_fork):
         problem, predicate = risky_fork

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from prmplan import (
+    ModelError,
     NonconvergenceError,
     SolverConfig,
     bellman_backup,
@@ -395,14 +396,16 @@ class TestHmin:
         assert h(0) == 1.0
 
     def test_zero_cost_edge(self):
+        # An SSP's non-goal costs are > 0, so the record of s0 rejects the
+        # pair before h_min reads it.
         problem = tabular_problem(
             transitions={(0, 0): [(1, 1.0)], (1, 0): [(2, 1.0)]},
             costs={(0, 0): 0.0, (1, 0): 1.0},
             start=0,
             goals={2},
         )
-        h = compute_hmin(problem)
-        assert h(0) == 1.0
+        with pytest.raises(ModelError, match=r"\(s=0, a=0\): cost 0.0 is not > 0"):
+            compute_hmin(problem)
 
     def test_parallel_actions_take_the_cheaper(self):
         # Both actions of s0 reach s1; h uses the cheaper, not their sum.
