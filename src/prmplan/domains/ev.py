@@ -14,6 +14,7 @@ by a seeded synthetic scenario generator.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import asdict, dataclass, fields
@@ -175,8 +176,10 @@ VIOLATION = ("violation",)
 def build_ev(scenario: EvScenario) -> tuple[SspProblem, RiskPredicate]:
     """Unroll the scenario into an SSP and its goal-unreachable risk predicate.
 
-    One `expand(state)` states the dynamics, VIOLATION -> DONE included;
-    the numbering loop and the problem's callback both read it.
+    One `expand(state)` states the dynamics, VIOLATION -> DONE included, for
+    the numbering loop and the records. It reads two small tables: the
+    demand and price outcomes per (d, p, idling), and the announcement
+    outcomes per step.
     """
     scenario.validate()
     horizon = scenario.horizon
@@ -184,45 +187,42 @@ def build_ev(scenario: EvScenario) -> tuple[SspProblem, RiskPredicate]:
     goal_charge = scenario.goal_charge
     r_max = scenario.r_max
 
-    def announce_branches(t: int) -> list[tuple[int, float]]:
-        q = scenario.announce_prob(t)
-        branches = [(E_UNANNOUNCED, 1.0 - q)]
-        if q > 0.0:
-            branches += [(1, q / 2.0), (2, q / 2.0)]
-        return branches
+    @functools.cache
+    def exogenous(d: int, p: int, idle: bool) -> tuple[tuple[int, int, float], ...]:
+        """(d2, p2, probability) of the next demand and price distribution."""
+        if idle:
+            return ((d, p, 1.0),)
+        sw = scenario.price_switch[p]
+        return tuple(
+            (d2, p2, pd * pp)
+            for d2, pd in enumerate(scenario.demand_transition[d])
+            if pd > 0.0
+            for p2, pp in ((p, 1.0 - sw), (1 - p, sw))
+            if pp > 0.0
+        )
+
+    # Per step, (e2, probability) of an unannounced departure's next value.
+    announce = [
+        tuple(b for b in ((E_UNANNOUNCED, 1.0 - q), (1, q / 2.0), (2, q / 2.0)) if b[1] > 0.0)
+        for q in map(scenario.announce_prob, range(horizon))
+    ]
 
     def successors(state, action):
         l, t, d, p, e = state[1:]
-        if action == IDLE:
-            level = l
-            exogenous = [((d, p), 1.0)]
+        level = l + action if action <= MAX_RATE else l + MAX_RATE - action
+        departed = DONE if level >= goal_charge else VIOLATION
+        if e != E_UNANNOUNCED:
+            e_branches = ((e - 1, 1.0),)
+        elif action == IDLE:
+            e_branches = ((E_UNANNOUNCED, 1.0),)
         else:
-            speed = action if action <= 3 else action - 3
-            level = l + speed if action <= 3 else l - speed
-            sw = scenario.price_switch[p]
-            price_branches = [(p, 1.0 - sw), (1 - p, sw)]
-            exogenous = [
-                ((d2, p2), pd * pp)
-                for d2, pd in enumerate(scenario.demand_transition[d])
-                if pd > 0.0
-                for p2, pp in price_branches
-                if pp > 0.0
-            ]
-        if e == E_UNANNOUNCED:
-            e_branches = (
-                [(E_UNANNOUNCED, 1.0)] if action == IDLE else announce_branches(t)
-            )
-        else:
-            e_branches = [(e - 1, 1.0)]
+            e_branches = announce[t]
+        last = t + 1 == horizon
         merged: dict[tuple, float] = {}
-        for (d2, p2), pdp in exogenous:
+        for d2, p2, pdp in exogenous(d, p, action == IDLE):
             for e2, pe in e_branches:
-                prob = pdp * pe
-                if e2 == 0 or t + 1 == horizon:
-                    succ = DONE if level >= goal_charge else VIOLATION
-                else:
-                    succ = ("s", level, t + 1, d2, p2, e2)
-                merged[succ] = merged.get(succ, 0.0) + prob
+                succ = departed if e2 == 0 or last else ("s", level, t + 1, d2, p2, e2)
+                merged[succ] = merged.get(succ, 0.0) + pdp * pe
         return merged
 
     def expand(state):

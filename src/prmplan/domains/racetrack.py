@@ -34,17 +34,6 @@ class TrackMap:
     goal_cells: frozenset[tuple[int, int]]
     pothole_cells: frozenset[tuple[int, int]]
 
-    @property
-    def height(self) -> int:
-        return len(self.rows)
-
-    @property
-    def width(self) -> int:
-        return len(self.rows[0])
-
-    def free(self, x: int, y: int) -> bool:
-        return 0 <= y < self.height and 0 <= x < self.width and self.rows[y][x] != "X"
-
 
 def parse_track(text: str) -> TrackMap:
     lines = [line for line in text.splitlines() if line.strip()]
@@ -83,6 +72,13 @@ def _line_cells(x0: int, y0: int, x1: int, y1: int):
         yield round(x0 + dx * i / steps), round(y0 + dy * i / steps)
 
 
+@functools.cache
+def _line_offsets(px: int, py: int, vx: int, vy: int) -> tuple[tuple[int, int], ...]:
+    """`_line_cells` from any origin of parity (px, py), as offsets from it:
+    `round` breaks ties to even, so only the origin's parity matters."""
+    return tuple((cx - px, cy - py) for cx, cy in _line_cells(px, py, px + vx, py + vy))
+
+
 def _accel_variants(ax: int, ay: int) -> list[tuple[int, int]]:
     """One-unit perturbations of the intended acceleration, clipped to the
     unit box; variants that clip back onto the intended vector are dropped."""
@@ -104,30 +100,34 @@ def build_racetrack(
 ) -> tuple[SspProblem, RiskPredicate]:
     """The reachable racetrack SSP and its pothole risk predicate.
 
-    One `expand(state)` states the dynamics: each action's acceleration
-    mixture is built once per track, and each move is computed once per
-    (x, y, clamped velocity), a key that up to nine states share; the
-    numbering pass of `search_problem` and the record pass both read it.
+    One `expand(state)` states the dynamics, for the numbering pass of
+    `search_problem` and the record pass, from per-track tables: the nine
+    clamped velocities of each (vx, vy); each move per (x, y, velocity),
+    walked over `_line_offsets`; and, keyed by which of the nine moves
+    coincide, every action's outcomes merged in mixture order.
     """
     track = parse_track(map_text)
     intended_prob = 1.0 - slip_prob - perturb_prob
     if intended_prob <= 0.0:
         raise ValueError("slip_prob + perturb_prob must stay below 1")
+    free = frozenset(
+        (x, y) for y, row in enumerate(track.rows) for x, ch in enumerate(row) if ch != "X"
+    )
 
     @functools.cache
     def move(x: int, y: int, vx: int, vy: int) -> tuple[int, int, int, int]:
-        nx, ny = x + vx, y + vy
         cx, cy = x, y
-        for px, py in _line_cells(x, y, nx, ny):
-            if not track.free(px, py):
+        for ox, oy in _line_offsets(x & 1, y & 1, vx, vy):
+            cell = (x + ox, y + oy)
+            if cell not in free:
                 return (cx, cy, 0, 0)
-            if (px, py) in track.goal_cells:
-                return (px, py, 0, 0)
-            cx, cy = px, py
-        return (nx, ny, vx, vy)
+            if cell in track.goal_cells:
+                return (*cell, 0, 0)
+            cx, cy = cell
+        return (x + vx, y + vy, vx, vy)
 
-    def mixture(action: tuple[int, int]) -> tuple[tuple[tuple[int, int], float], ...]:
-        """The executed accelerations of an action and their probabilities."""
+    def mixture(action: tuple[int, int]) -> tuple[tuple[int, float], ...]:
+        """An action's executed accelerations, as ACTIONS indices, with probabilities."""
         accels: dict[tuple[int, int], float] = {action: intended_prob}
         if slip_prob > 0.0:
             accels[(0, 0)] = accels.get((0, 0), 0.0) + slip_prob
@@ -136,22 +136,38 @@ def build_racetrack(
             share = perturb_prob / len(variants)
             for var in variants:
                 accels[var] = accels.get(var, 0.0) + share
-        return tuple(accels.items())
+        return tuple((ACTIONS.index(accel), prob) for accel, prob in accels.items())
 
     mixtures = [mixture(action) for action in ACTIONS]
+    speeds = range(-MAX_SPEED, MAX_SPEED + 1)
+    velocities = {
+        (vx, vy): tuple(
+            (max(-MAX_SPEED, min(MAX_SPEED, vx + ax)), max(-MAX_SPEED, min(MAX_SPEED, vy + ay)))
+            for ax, ay in ACTIONS
+        )
+        for vx in speeds
+        for vy in speeds
+    }
 
-    def clamp(v: int) -> int:
-        return max(-MAX_SPEED, min(MAX_SPEED, v))
+    @functools.cache
+    def merged_rows(pattern: tuple[int, ...]) -> tuple[tuple[tuple[int, float], ...], ...]:
+        """Per action, (index of a successor's first move, summed probability);
+        pattern[i] is the first j with the same successor as move i."""
+        rows = []
+        for accels in mixtures:
+            merged: dict[int, float] = {}
+            for i, prob in accels:
+                merged[pattern[i]] = merged.get(pattern[i], 0.0) + prob
+            rows.append(tuple(merged.items()))
+        return tuple(rows)
 
     def expand(state: tuple[int, int, int, int]):
         x, y, vx, vy = state
-        moved = {(bx, by): move(x, y, clamp(vx + bx), clamp(vy + by)) for bx, by in ACTIONS}
-        for a, accels in enumerate(mixtures):
-            merged: dict[tuple[int, int, int, int], float] = {}
-            for accel, prob in accels:
-                succ = moved[accel]
-                merged[succ] = merged.get(succ, 0.0) + prob
-            yield a, 1.0, merged
+        moved = [move(x, y, *v) for v in velocities[vx, vy]]
+        first: dict[tuple[int, int, int, int], int] = {}
+        pattern = tuple([first.setdefault(succ, i) for i, succ in enumerate(moved)])
+        for a, row in enumerate(merged_rows(pattern)):
+            yield a, 1.0, {moved[i]: prob for i, prob in row}
 
     problem = search_problem(
         (track.start[0], track.start[1], 0, 0),

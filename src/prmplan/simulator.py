@@ -107,14 +107,18 @@ class ExperimentReport:
     t_full: float
 
     def rows(self) -> list[dict]:
-        """One row per model that did not fail, keyed as cli.AGGREGATE_FIELDS."""
+        """One row per model that did not fail, keyed as cli.AGGREGATE_FIELDS.
+        Both % columns are nan when V*(s0) = 0: the start is a goal, and the
+        times of its empty plans compare nothing."""
         return [
             {
                 "model": r.name,
                 "avg_nse": r.mean_nse,
                 "mean_cost": r.mean_cost,
                 "pct_cost_increase": r.pct_cost_increase(self.optimal_value),
-                "pct_time_savings": r.pct_time_savings(self.t_full),
+                "pct_time_savings": r.pct_time_savings(self.t_full)
+                if self.optimal_value
+                else math.nan,
                 "goal_trials": r.goal_trials,
             }
             for r in self.results

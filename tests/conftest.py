@@ -1,8 +1,14 @@
 """Shared fixtures: hand-built desk problems and small domain instances."""
 
 import pytest
+from hypothesis import settings
 
 from prmplan import RiskPredicate, tabular_problem
+
+# Every run draws the same examples, and none is replayed from a local
+# example database.
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 @pytest.fixture

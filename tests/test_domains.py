@@ -1,10 +1,14 @@
 """Benchmark domains: racetrack, sailing, EV charging, and the registry."""
 
+import dataclasses
 import hashlib
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from prmplan import (
     proper_hmin,
@@ -15,6 +19,8 @@ from prmplan import (
 from prmplan.domains import build_instance, desk_instances
 from prmplan.domains.ev import (
     DONE,
+    E_UNANNOUNCED,
+    IDLE,
     VIOLATION,
     EvScenario,
     build_ev,
@@ -23,11 +29,16 @@ from prmplan.domains.ev import (
 from prmplan.domains.racetrack import (
     ACTIONS,
     BUILTIN_TRACKS,
+    MAX_SPEED,
     MapParseError,
+    _line_cells,
+    _line_offsets,
     build_racetrack,
     parse_track,
 )
 from prmplan.domains.sailing import DIRECTIONS, TACK_COST, build_sailing
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestTrackParsing:
@@ -122,6 +133,19 @@ class TestRacetrackModel:
     def test_tiny_track_validates(self, tiny_racetrack):
         problem, _ = tiny_racetrack
         proper_hmin(problem)
+
+    @given(
+        st.integers(0, 10**4),
+        st.integers(0, 10**4),
+        st.integers(-MAX_SPEED, MAX_SPEED),
+        st.integers(-MAX_SPEED, MAX_SPEED),
+    )
+    def test_line_depends_on_origin_parity_only(self, x, y, vx, vy):
+        # round() breaks ties to even, so a move's cells are the offsets
+        # cached for the parity of its origin, shifted onto it.
+        offsets = _line_offsets(x & 1, y & 1, vx, vy)
+        cells = [(x + ox, y + oy) for ox, oy in offsets]
+        assert cells == list(_line_cells(x, y, x + vx, y + vy))
 
 
 class TestSailingModel:
@@ -263,6 +287,22 @@ class TestEvModel:
         problem, _ = small_ev
         proper_hmin(problem)
 
+    def test_certain_announcement_leaves_no_zero_branch(self, ev_scenario):
+        # With announcement probability 1, the "still unannounced" branch
+        # has mass 0 and is dropped, as a price branch of mass 0 is.
+        certain = dataclasses.replace(
+            ev_scenario, announce_prob_window=1.0, announce_prob_outside=1.0
+        )
+        problem, _ = build_ev(certain)
+        assert proper_hmin(problem)(0) > 0.0  # builds every reachable record
+        unannounced = {
+            s for s, state in enumerate(problem.states) if state[-1] == E_UNANNOUNCED
+        }
+        for s in unannounced:
+            for a in problem.actions(s):
+                if a != IDLE:
+                    assert not unannounced & {s2 for s2, _ in problem.transition(s, a)}
+
 
 class TestRegistry:
     def test_unknown_domain(self):
@@ -324,6 +364,11 @@ PINNED_MODELS = {
     ("racetrack", "zigzag-6"): "b97c0ba097170a5143b96435ef645df82cfa5a1040cea142aaac297e273d8bb4",
     ("sailing", "8M"): "dbb117d2e198bb714cd724a66940a291f7f824d2682de9749b7a51e719764b77",
     ("ev", "gen-1"): "77e14ac626f4ef42373fb4213a34bbe24747f6c1f7f7458d467fbdcccc8c1c1f",
+    ("racetrack", "zigzag-4"): "50d3e832d5fbf3733efa718b307cf41fa2d11666567822b31ab5d2b24be3bcb8",
+    ("racetrack", "ring-5"): "6125e39d01f7996b9cb2a89c310ebc6e0a858d4c9f5d9b6d023b0a225f24da84",
+    ("ev", "gen-6"): "1acf069ab67d19a77438671a957934b383817a9dfd0accd814e879d4d832d165",
+    # The scenario file perfbench's ev-risk workload plans on, read only.
+    ("ev", "perfbench/ev-gen-1.json"): "77e14ac626f4ef42373fb4213a34bbe24747f6c1f7f7458d467fbdcccc8c1c1f",
 }
 
 
@@ -332,5 +377,6 @@ def test_shipped_models_pinned(domain, instance):
     # A renumbering or any change in a domain's dynamics moves every
     # outcome downstream; it has to show up here, and be re-recorded on
     # purpose.
-    problem, predicate = build_instance(domain, instance)
+    source = str(REPO_ROOT / instance) if instance.endswith(".json") else instance
+    problem, predicate = build_instance(domain, source)
     assert fingerprint(problem, predicate) == PINNED_MODELS[(domain, instance)]

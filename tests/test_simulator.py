@@ -427,6 +427,11 @@ class TestRunExperiment:
         assert math.isnan(result.pct_cost_increase(report.optimal_value))
         assert math.isnan(result.pct_time_savings(0.0))
         assert result.goal_trials == 3
+        # The start is a goal: the plans are empty, and their times (a few
+        # microseconds) compare nothing.
+        (row,) = report.rows()
+        assert math.isnan(row["pct_cost_increase"])
+        assert math.isnan(row["pct_time_savings"])
 
     def test_mean_cost_lower_bounded_by_optimal(self, risky_fork):
         # Expectation bound with a generous sampling allowance: the sample
