@@ -19,8 +19,6 @@ from .reduction import (
     ModelSelector,
     OutcomeSelectionPrinciple,
     ReducedModel,
-    SelectorError,
-    TableSelector,
     UniformSelector,
     ZeroOneSelector,
     build_reduced_model,

@@ -24,8 +24,8 @@ from .reduction import (
     build_reduced_model,
 )
 from .risk import RiskProfile
-from .simulator import SimConfig, _solve_reduced, run_experiment
-from .solvers import SolverConfig, proper_hmin, solve_value_iteration
+from .simulator import SimConfig, run_experiment
+from .solvers import SolverConfig, proper_hmin, solve_lao_star, solve_value_iteration
 
 MODEL_NAMES = ("full", "mlod", "m02", "rm01")
 
@@ -182,7 +182,7 @@ def cmd_solve(args) -> int:
     selector = _make_selector(args.model, problem, predicate, args)
     reduced = build_reduced_model(problem, selector, name=args.model)
     config = SolverConfig(epsilon=args.epsilon, heuristic=proper_hmin(problem))
-    solution = _solve_reduced(reduced, problem.start, config)
+    solution = solve_lao_star(reduced, problem.start, config)
     print(f"instance   {problem.name} ({problem.n_states} states)")
     print(f"model      {args.model}")
     print(f"V(s0)      {solution.start_value:.6f}")

@@ -7,11 +7,11 @@ each goal is made absorbing by one zero-cost self-loop. Domain builders
 state their dynamics once, as `expand(state)` over their own state
 objects; `search_problem` numbers the states it reaches and wraps it as
 the callback. Each problem keeps one memo: the per-state record built on
-first use, and the `CompiledModel` that `compile_model` flattens from
-them once per root. The Bellman kernel, LAO* and the model walkers read
-records; value iteration, h_min and the risk walker read the compiled
-model. The per-pair API (`actions`, `cost`, `transition`) is a
-view of the records.
+first use, and the `CompiledModel` that `compile_model` flattens, once,
+from the records of the states reachable from s0. The Bellman kernel, LAO*
+and the model walkers read records; value iteration, h_min and the risk
+walker read the compiled model. The per-pair API (`actions`, `cost`,
+`transition`) is a view of the records.
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ class SspProblem:
         self.name = name
         self._expand_fn = expand_fn
         self._record_memo: dict[int, StateRecord] = {}
-        self._compiled_memo: dict[int, CompiledModel] = {}
+        self._compiled: CompiledModel | None = None
 
     def is_goal(self, s: int) -> bool:
         return s in self.goals
@@ -260,12 +260,11 @@ def bellman_backup(
     return best_q, best_a
 
 
-def reachable_states(problem: SspProblem, start: int | None = None) -> list[int]:
-    """All states reachable from start (default s0), in BFS order."""
-    root = problem.start if start is None else start
-    seen = {root}
-    order = [root]
-    queue = deque([root])
+def reachable_states(problem: SspProblem) -> list[int]:
+    """All states reachable from s0, in BFS order."""
+    seen = {problem.start}
+    order = [problem.start]
+    queue = deque(order)
     while queue:
         s = queue.popleft()
         if problem.is_goal(s):
@@ -280,8 +279,8 @@ def reachable_states(problem: SspProblem, start: int | None = None) -> list[int]
 
 
 class CompiledModel(NamedTuple):
-    """The records of every state reachable from one root, goals included,
-    in flat arrays.
+    """The records of every state reachable from s0, goals included, in flat
+    arrays.
 
     Positions index `states` (sorted ids); `goal` marks the goals. The
     pairs of position i are `first_pair[i]:first_pair[i + 1]`, in record
@@ -305,7 +304,7 @@ class CompiledModel(NamedTuple):
     def position(self, s: int) -> int:
         i = int(np.searchsorted(self.states, s))
         if i == len(self.states) or self.states[i] != s:
-            raise KeyError(f"state {s} is not reachable from the compiled root")
+            raise KeyError(f"state {s} is not reachable from s0")
         return i
 
     def draw(self, pair: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -315,20 +314,17 @@ class CompiledModel(NamedTuple):
         return np.minimum(j, self.first_outcome[pair + 1] - 1)
 
 
-def compile_model(problem: SspProblem, start: int | None = None) -> CompiledModel:
-    """The problem's records over the states reachable from start (default
-    s0), flattened once per root and memoized on the problem. A goal's
-    zero-cost self-loop makes it absorbing. A record that fails its checks
-    raises its ModelError here."""
-    root = problem.start if start is None else start
-    model = problem._compiled_memo.get(root)
-    if model is None:
-        model = problem._compiled_memo[root] = _flatten(problem, root)
-    return model
+def compile_model(problem: SspProblem) -> CompiledModel:
+    """The problem's records over the states reachable from s0, flattened
+    once and memoized on the problem. A goal's zero-cost self-loop makes it
+    absorbing. A record that fails its checks raises its ModelError here."""
+    if problem._compiled is None:
+        problem._compiled = _flatten(problem)
+    return problem._compiled
 
 
-def _flatten(problem: SspProblem, root: int) -> CompiledModel:
-    states = np.array(sorted(reachable_states(problem, root)), dtype=np.int64)
+def _flatten(problem: SspProblem) -> CompiledModel:
+    states = np.array(sorted(reachable_states(problem)), dtype=np.int64)
     records = [problem.record(s) for s in states.tolist()]
     n_acts = np.fromiter((len(r[0]) for r in records), np.int64, len(records))
     dists = [d for r in records for d in r[2]]

@@ -10,7 +10,6 @@ elsewhere.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -18,10 +17,6 @@ from .mdp import Distribution, SspProblem, StateRecord, make_distribution, reach
 
 if TYPE_CHECKING:
     from .risk import RiskProfile
-
-
-class SelectorError(KeyError):
-    """The model selector has no assignment for a required (s, a) pair."""
 
 
 @dataclass(frozen=True)
@@ -94,21 +89,6 @@ class UniformSelector(ModelSelector):
 
     def principle(self, s: int, a: int) -> OutcomeSelectionPrinciple:
         return self._principle
-
-
-class TableSelector(ModelSelector):
-    """Explicit per-pair assignment; missing pairs are configuration errors."""
-
-    def __init__(self, assignment: Mapping[tuple[int, int], OutcomeSelectionPrinciple]):
-        self._assignment = dict(assignment)
-
-    def principle(self, s: int, a: int) -> OutcomeSelectionPrinciple:
-        try:
-            return self._assignment[(s, a)]
-        except KeyError:
-            raise SelectorError(
-                f"selector has no principle for pair (s={s}, a={a})"
-            ) from None
 
 
 class ZeroOneSelector(ModelSelector):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from collections.abc import Callable, Iterable, Sequence, Set
+from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -19,14 +19,7 @@ import numpy as np
 from .mdp import SspProblem
 from .reduction import FULL_MODEL, ModelSelector, ReducedModel, UniformSelector
 from .risk import RiskPredicate
-from .solvers import (
-    NonconvergenceError,
-    Solution,
-    SolverConfig,
-    proper_hmin,
-    solve_lao_star,
-    solve_value_iteration,
-)
+from .solvers import Solution, SolverConfig, proper_hmin, solve_lao_star, solve_value_iteration
 
 
 @dataclass
@@ -126,32 +119,9 @@ class ExperimentReport:
         ]
 
 
-def _solve_reduced(
-    reduced: ReducedModel,
-    start: int,
-    config: SolverConfig,
-    values: dict[int, float] | None = None,
-    solved: Set[int] = frozenset(),
-) -> Solution:
-    """Solve the reduced model from one state with LAO*, which stops at the
-    `solved` states (see solve_lao_star). Nonconvergence on improper
-    reductions yields the best greedy policy found, which is all the
-    executor needs: the true model supplies the missing stochasticity.
-    """
-    try:
-        return solve_lao_star(reduced, start, config, values=values, solved=solved)
-    except NonconvergenceError as exc:
-        return exc.solution
-
-
-def _initial_plan(reduced: ReducedModel, config: SolverConfig) -> Solution:
-    """The plan of a reduced model from s0, its solve_time set to the whole
-    call, the nonconvergence fallback included. run_experiment times t_full
-    and every other model's initial plan here, each on a fresh reduction."""
-    t0 = time.perf_counter()
-    initial = _solve_reduced(reduced, reduced.start, config)
-    initial.solve_time = time.perf_counter() - t0
-    return initial
+# Only perfbench's traced replay (perfbench/child.py) still imports this
+# name; ROADMAP item 1 deletes it.
+_solve_reduced = solve_lao_star
 
 
 def run_trial(
@@ -168,7 +138,9 @@ def run_trial(
 
     `initial` may carry a precomputed solve of the reduced model from s0
     (its solve_time is charged as the trial's plan time); replanning keeps
-    the trial's own value dict warm across re-solves. The trial also keeps
+    the trial's own value dict warm across re-solves. Every plan is LAO*'s
+    best greedy policy, converged or not: the true model supplies the
+    stochasticity a stalled reduction lacks. The trial also keeps
     its own set of solved states, seeded from `initial.solved` (which it
     only reads) and joined by each replan's labels, so a replan stops at
     states that the initial plan or an earlier replan has already solved.
@@ -181,7 +153,7 @@ def run_trial(
     stats = TrialStats(seed=seed)
 
     if initial is None:
-        initial = _initial_plan(reduced, solver_cfg)
+        initial = solve_lao_star(reduced, config=solver_cfg)
     stats.plan_time = initial.solve_time
     policy = dict(initial.policy)
     values = initial.values.copy()
@@ -198,7 +170,7 @@ def run_trial(
             if predicate(s):
                 stats.nse_hits += 1
             t0 = time.perf_counter()
-            solution = _solve_reduced(reduced, s, solver_cfg, values=values, solved=solved)
+            solution = solve_lao_star(reduced, s, solver_cfg, values=values, solved=solved)
             stats.replan_time += time.perf_counter() - t0
             policy.update(solution.policy)
             solved |= solution.solved
@@ -260,7 +232,7 @@ def run_experiment(
     solver_cfg = config.solver_config(heuristic)
 
     full = ReducedModel(base, UniformSelector(FULL_MODEL), name="full")
-    full_plan = _initial_plan(full, solver_cfg)
+    full_plan = solve_lao_star(full, config=solver_cfg)
 
     results: list[ModelResult] = []
     for name, selector in models:
@@ -270,7 +242,7 @@ def run_experiment(
                 reduced, initial = full, full_plan
             else:
                 reduced = ReducedModel(base, selector, name=name)
-                initial = _initial_plan(reduced, solver_cfg)
+                initial = solve_lao_star(reduced, config=solver_cfg)
         except Exception as exc:  # noqa: BLE001 - failed models must not stop others
             result.failed = True
             result.failure = f"{type(exc).__name__}: {exc}"

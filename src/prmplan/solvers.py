@@ -5,9 +5,12 @@ h_min through its memoized compiled model, as flat numpy arrays of pairs
 and outcomes, LAO* through the Bellman kernel. LAO* plans every reduced
 model, determinized ones included, and runs as ILAO*: each iteration is
 one depth-first pass over the greedy envelope that expands the tips it
-meets and backs its states up in postorder. Value iteration shares no code with it, so it stays an
-independent oracle. `SolverConfig.max_iterations` bounds VI's sweeps and
-LAO*'s passes.
+meets and backs its states up in postorder. Value iteration shares no
+code with it, so it stays an independent oracle. `SolverConfig.max_iterations`
+bounds VI's sweeps and LAO*'s passes. Value iteration, the oracle, raises
+NonconvergenceError when it does not converge; LAO* returns its best greedy
+policy with `Solution.converged` false, which the executor acts on like any
+other.
 
 LAO* labels states as LRTDP does (Bonet & Geffner 2003): a converged solve
 reports its final pass's postorder as `Solution.solved`, and a later solve
@@ -41,11 +44,8 @@ from .mdp import (
 
 
 class NonconvergenceError(RuntimeError):
-    """Solver hit its iteration budget; carries the best solution so far."""
-
-    def __init__(self, message: str, solution: "Solution"):
-        super().__init__(message)
-        self.solution = solution
+    """Value iteration hit its sweep budget before its residual fell below
+    epsilon. LAO* never raises it."""
 
 
 @dataclass
@@ -58,9 +58,10 @@ class SolverConfig:
 @dataclass
 class Solution:
     """A solver's (partial) policy, its value dict and its work counters.
-    `solved` is the set of states labelled by a converged LAO* solve: its
-    final pass's postorder, which is exactly the policy's states. It is
-    empty for a stalled LAO* solve and for VI."""
+    `converged` is false only for a LAO* solve that stalled or ran out of
+    passes. `solved` is the set of states labelled by a converged LAO*
+    solve: its final pass's postorder, which is exactly the policy's
+    states. It is empty for a stalled LAO* solve and for VI."""
 
     policy: Policy
     values: dict[int, float]
@@ -86,23 +87,19 @@ def _outcome_pairs(model: CompiledModel) -> np.ndarray:
     return np.repeat(np.arange(len(model.cost)), np.diff(model.first_outcome))
 
 
-def solve_value_iteration(
-    problem: SspProblem,
-    config: SolverConfig | None = None,
-    start: int | None = None,
-) -> Solution:
-    """Full-sweep value iteration over all states reachable from start.
+def solve_value_iteration(problem: SspProblem, config: SolverConfig | None = None) -> Solution:
+    """Full-sweep value iteration over all states reachable from s0.
 
     The desk-scale oracle: Jacobi sweeps over the compiled model until the
     sup-norm residual drops below epsilon. A sweep computes every pair's
     Q-value as its cost plus its expected successor value, takes each
     state's minimum over its pairs and pins goals to 0. The policy takes
-    the lowest action among the minimal pairs.
+    the lowest action among the minimal pairs. Raises NonconvergenceError
+    after `config.max_iterations` sweeps.
     """
     config = config or SolverConfig()
-    root = problem.start if start is None else start
     t0 = time.perf_counter()
-    model = compile_model(problem, root)
+    model = compile_model(problem)
     # bincount adds each pair's terms from 0.0 in outcome order, as a plain
     # loop does (np.add.reduceat sums pairwise, so it would not be bit-equal).
     pair_of = _outcome_pairs(model)
@@ -111,8 +108,6 @@ def solve_value_iteration(
     n = len(model.states)
 
     v = np.zeros(n)
-    q = model.cost
-    converged = False
     for _ in range(config.max_iterations):
         q = model.cost + np.bincount(pair_of, model.prob * v[model.succ], n_pairs)
         v_new = np.minimum.reduceat(q, first)
@@ -120,8 +115,11 @@ def solve_value_iteration(
         residual = float(np.max(np.abs(v_new - v)))
         v = v_new
         if residual < config.epsilon:
-            converged = True
             break
+    else:
+        raise NonconvergenceError(
+            f"value iteration did not converge in {config.max_iterations} sweeps"
+        )
 
     # Each state's policy action is that of its first minimal pair.
     minimal = q == np.minimum.reduceat(q, first)[_owners(model)]
@@ -132,13 +130,7 @@ def solve_value_iteration(
     policy: Policy = {
         s: a for s, a, goal in zip(states, actions, model.goal.tolist()) if not goal
     }
-    solution = Solution(policy, values, n, time.perf_counter() - t0, root, converged)
-    if not converged:
-        raise NonconvergenceError(
-            f"value iteration did not converge in {config.max_iterations} sweeps",
-            solution,
-        )
-    return solution
+    return Solution(policy, values, n, time.perf_counter() - t0, problem.start)
 
 
 def compute_hmin(
@@ -146,17 +138,20 @@ def compute_hmin(
     start: int | None = None,
     config: SolverConfig | None = None,
 ) -> Callable[[int], float]:
-    """Exact h_min (Bonet & Geffner 2003) on the states reachable from start.
+    """Exact h_min (Bonet & Geffner 2003) on the states reachable from s0.
 
     h_min is the fixpoint of ``h(s) = min_a [C(s,a) + min_{s'} h(s')]`` over
     the support of (s, a), with h = 0 on goals and inf where no goal is
     reachable. One backward Dijkstra pass from the goals computes it, which
     needs non-negative costs (every record checks that they are > 0). It is
     consistent on the edges of the base model and so of every reduced model,
-    whose supports are subsets. `config` is unused. The returned h raises
-    KeyError for states not reachable from start.
+    whose supports are subsets. The returned h raises KeyError for states
+    not reachable from s0. `start` may only name s0 and `config` is unused;
+    both remain for callers that pass them positionally.
     """
-    model = compile_model(problem, start)
+    if start is not None and start != problem.start:
+        raise ValueError(f"h_min is computed from s0 = {problem.start}, not from {start}")
+    model = compile_model(problem)
     # The outcomes into position s', grouped by s' in outcome order, list
     # each pair (s, a) with s' in its support: through it, s is a
     # predecessor of s' at cost C(s, a). Edges and distances stay in numpy
@@ -215,9 +210,10 @@ def solve_lao_star(
 
     A value dict may be passed in for warm-started replanning; it is
     updated in place, and states new to it start at `config.heuristic`.
-    Improper inputs surface as NonconvergenceError carrying the best greedy
-    policy found: once the envelope is tip-free, its residual stops halving
-    when no goal is reachable along it.
+    A solve that stalls or runs out of passes returns the best greedy policy
+    found, with `converged` false. Improper inputs stall: once the envelope
+    is tip-free, its residual stops halving when no goal is reachable along
+    it.
 
     `solved` holds states labelled by earlier converged solves of the same
     model whose values are in `values` (see the module docstring). A pass
@@ -307,12 +303,6 @@ def solve_lao_star(
             stall = stall + 1 if residual >= 0.5 * block_residual else 0
             block_residual = residual
             if stall >= 5:
-                raise NonconvergenceError(
-                    "LAO* stalled: greedy envelope does not converge "
-                    "(no proper policy in this model from the start state)",
-                    snapshot(order, converged=False),
-                )
-    raise NonconvergenceError(
-        f"LAO* exceeded {config.max_iterations} passes", snapshot(order, False)
-    )
+                break
+    return snapshot(order, converged=False)
 

@@ -3,12 +3,29 @@
 import pytest
 from hypothesis import settings
 
-from prmplan import RiskPredicate, tabular_problem
+from prmplan import ModelSelector, RiskPredicate, tabular_problem
 
 # Every run draws the same examples, and none is replayed from a local
 # example database.
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
+
+
+class SelectorError(KeyError):
+    """The model selector has no assignment for a required (s, a) pair."""
+
+
+class TableSelector(ModelSelector):
+    """Explicit per-pair assignment; missing pairs are configuration errors."""
+
+    def __init__(self, assignment):
+        self._assignment = dict(assignment)
+
+    def principle(self, s, a):
+        try:
+            return self._assignment[(s, a)]
+        except KeyError:
+            raise SelectorError(f"selector has no principle for pair (s={s}, a={a})") from None
 
 
 @pytest.fixture

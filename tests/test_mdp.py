@@ -6,6 +6,7 @@ from array import array
 
 import numpy as np
 import pytest
+from conftest import SelectorError, TableSelector
 from hypothesis import given
 from hypothesis import strategies as st
 from test_solvers import random_proper_ssp
@@ -14,10 +15,8 @@ from prmplan import (
     FULL_MODEL,
     MOST_LIKELY,
     ModelError,
-    SelectorError,
     SolverConfig,
     SspProblem,
-    TableSelector,
     UniformSelector,
     bellman_backup,
     build_reduced_model,
@@ -452,11 +451,11 @@ class TestCompileModel:
             assert got.dtype == want.dtype, field
             assert np.array_equal(got, want), field
 
-    def test_memo_keyed_by_resolved_root(self, chain3):
+    def test_memo_is_one_slot(self, chain3):
+        # Every model is compiled from s0 only, once.
         model = compile_model(chain3)
-        assert compile_model(chain3, chain3.start) is model
-        assert compile_model(chain3, 1) is not model
-        assert compile_model(chain3, 1).states.tolist() == [1, 2]
+        assert compile_model(chain3) is model
+        assert model.states.tolist() == [0, 1, 2]
 
     def test_reduced_model_compiles_its_own_records(self, risky_fork):
         problem, _ = risky_fork

@@ -1,6 +1,7 @@
 """Outcome selection, selectors, and reduced model assembly."""
 
 import pytest
+from conftest import SelectorError, TableSelector
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -11,8 +12,6 @@ from prmplan import (
     OutcomeSelectionPrinciple,
     RiskPredicate,
     RiskProfile,
-    SelectorError,
-    TableSelector,
     UniformSelector,
     ZeroOneSelector,
     build_reduced_model,

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from conftest import SelectorError, TableSelector
 
 from prmplan import (
     FULL_MODEL,
@@ -14,9 +15,7 @@ from prmplan import (
     ReducedModel,
     RiskPredicate,
     RiskProfile,
-    SelectorError,
     SimConfig,
-    TableSelector,
     UniformSelector,
     ZeroOneSelector,
     build_reduced_model,
@@ -172,7 +171,7 @@ class TestSolvedLabels:
     def test_labels_stay_solved_after_every_replan(self, replanned_reductions, monkeypatch):
         from prmplan import mdp, simulator, solvers
 
-        solve_reduced, backup = simulator._solve_reduced, mdp.bellman_backup
+        solve_lao, backup = simulator.solve_lao_star, mdp.bellman_backup
         eps = SimConfig().epsilon
         replanning = {"labels": frozenset(), "backed_up": []}
 
@@ -181,18 +180,18 @@ class TestSolvedLabels:
                 replanning["backed_up"].append(s)
             return backup(problem, values, s, heuristic)
 
-        def spy_reduced(reduced, start, config, values=None, solved=frozenset()):
+        def spy_lao(reduced, start, config, values=None, solved=frozenset()):
             replanning["labels"] = frozenset(solved)
-            solution = solve_reduced(reduced, start, config, values, solved)
+            solution = solve_lao(reduced, start, config, values, solved)
             replanning["labels"] = frozenset()
             after.append((frozenset(solved), dict(values), solution))
             return solution
 
         monkeypatch.setattr(solvers, "bellman_backup", spy_backup)
-        monkeypatch.setattr(simulator, "_solve_reduced", spy_reduced)
+        monkeypatch.setattr(simulator, "solve_lao_star", spy_lao)
         for label, base, reduced, predicate, hmin in replanned_reductions:
             config = SimConfig().solver_config(hmin)
-            initial = solve_reduced(reduced, reduced.start, config)
+            initial = solve_lao(reduced, reduced.start, config)
             assert initial.solved == frozenset(initial.policy), label
             replans = 0
             for seed in range(10):
@@ -248,16 +247,16 @@ class TestRunExperiment:
         flatten = mdp._flatten
         flattened = []
 
-        def counting_flatten(p, root):
-            flattened.append((p, root))
-            return flatten(p, root)
+        def counting_flatten(p):
+            flattened.append(p)
+            return flatten(p)
 
         monkeypatch.setattr(mdp, "_flatten", counting_flatten)
         profile = RiskProfile(problem, predicate, seed=0)
         selector = ZeroOneSelector(profile, 0.25)
         run_experiment(problem, [("rm01", selector)], predicate, trials=5, seed=0)
         assert profile._reach
-        assert flattened == [(problem, problem.start)]
+        assert flattened == [problem]
 
     def test_every_timed_solve_plans_a_fresh_reduction(self, risky_fork, monkeypatch):
         # t_full is timed like every model row: the initial plan of a fresh
@@ -266,29 +265,25 @@ class TestRunExperiment:
         from prmplan import simulator
 
         problem, predicate = risky_fork
-        solve_reduced, solve_lao = simulator._solve_reduced, simulator.solve_lao_star
+        solve_lao = simulator.solve_lao_star
         trial = simulator.run_trial
-        initial, solved, tried = [], [], []
+        initial, planned, tried = [], [], []
 
-        def spy_reduced(reduced, start, config, values=None, solved=frozenset()):
+        def spy_lao(p, start=None, config=None, values=None, solved=frozenset()):
+            planned.append(p)
             if values is None:
-                initial.append(reduced)
-            return solve_reduced(reduced, start, config, values, solved)
-
-        def spy_lao(p, *args, **kwargs):
-            solved.append(p)
-            return solve_lao(p, *args, **kwargs)
+                initial.append(p)
+            return solve_lao(p, start, config, values, solved)
 
         def spy_trial(base, reduced, *args, **kwargs):
             tried.append(reduced)
             return trial(base, reduced, *args, **kwargs)
 
-        monkeypatch.setattr(simulator, "_solve_reduced", spy_reduced)
         monkeypatch.setattr(simulator, "solve_lao_star", spy_lao)
         monkeypatch.setattr(simulator, "run_trial", spy_trial)
         models = [("full", UniformSelector(FULL_MODEL)), ("m02", UniformSelector(M02))]
         run_experiment(problem, models, predicate, trials=3, seed=0)
-        assert solved and all(isinstance(p, ReducedModel) for p in solved)
+        assert planned and all(isinstance(p, ReducedModel) for p in planned)
         assert len(initial) == 2 and initial[0] is not initial[1]
         assert initial[0].selector.principle(0, 0) == FULL_MODEL  # t_full's plan
         assert initial[1].selector is models[1][1]
@@ -303,15 +298,15 @@ class TestRunExperiment:
             pass
 
         problem, predicate = risky_fork
-        solve_reduced = simulator._solve_reduced
+        solve_lao = simulator.solve_lao_star
         initial = []
 
-        def spy_reduced(reduced, start, config, values=None, solved=frozenset()):
+        def spy_lao(reduced, start=None, config=None, values=None, solved=frozenset()):
             if values is None:
                 initial.append(reduced.selector)
-            return solve_reduced(reduced, start, config, values, solved)
+            return solve_lao(reduced, start, config, values, solved)
 
-        monkeypatch.setattr(simulator, "_solve_reduced", spy_reduced)
+        monkeypatch.setattr(simulator, "solve_lao_star", spy_lao)
         models = [
             ("a", UniformSelector(FULL_MODEL)),
             ("b", FullSubclass(FULL_MODEL)),
