@@ -46,10 +46,9 @@ M02 = OutcomeSelectionPrinciple("greedy_k", 2)
 def select_outcomes(
     principle: OutcomeSelectionPrinciple, full: Distribution
 ) -> Distribution:
-    """Apply one outcome selection principle to a full distribution.
-
-    Kept probabilities are divided by the kept mass, so they stay
-    proportional to the originals.
+    """Apply one outcome selection principle to a full distribution: `full`
+    itself when every outcome is kept, else the checked distribution of the
+    kept outcomes divided by their mass (proportional to the originals).
     """
     if principle.kind == "full":
         return full
@@ -58,7 +57,7 @@ def select_outcomes(
         return full
     kept = sorted(full, key=lambda e: (-e[1], e[0]))[:k]
     mass = sum(p for _, p in kept)
-    return tuple(sorted((s, p / mass) for s, p in kept))
+    return make_distribution([(s, p / mass) for s, p in kept])
 
 
 class ModelSelector:
@@ -95,9 +94,8 @@ class ZeroOneSelector(ModelSelector):
     """The 0/1 RM selector: full model near risk, determinization elsewhere.
 
     A pair gets the full model when the state's estimated reachability to
-    risk meets the threshold, or when any of the pair's full-model outcomes
-    is itself a risky state (the one-step guard covering transitions that
-    lead directly into risk, read from the profile's risky mask).
+    risk meets the threshold, or when the predicate holds on some outcome of
+    the pair's base distribution (the one-step guard, as `nse_set` reads it).
     """
 
     def __init__(self, risk_profile: "RiskProfile", threshold: float):
@@ -107,9 +105,10 @@ class ZeroOneSelector(ModelSelector):
         self.threshold = threshold
 
     def principle(self, s: int, a: int) -> OutcomeSelectionPrinciple:
-        if self.risk_profile.reach(s) >= self.threshold:
+        profile = self.risk_profile
+        if profile.reach(s) >= self.threshold:
             return FULL_MODEL
-        if self.risk_profile.leads_to_risk(s, a):
+        if any(profile.predicate(s2) for s2, _ in profile.problem.transition(s, a)):
             return FULL_MODEL
         return MOST_LIKELY
 
@@ -118,11 +117,11 @@ class ReducedModel(SspProblem):
     """The base problem with each distribution cut by the selector.
 
     States, start and goals are the base's. Each record is derived from
-    the base's record of the same state: the action and cost tuples are
-    shared, a distribution the principle keeps whole is the base's object,
-    and a cut one is renormalized by `make_distribution`. The selector is
-    asked once per pair of a non-goal state, when its record is built; a
-    goal's record is the base's.
+    the base's record of the same state alone: the action and cost tuples
+    are shared, and each distribution is `select_outcomes` of the base's,
+    which is the base's object when kept whole. The selector is asked once
+    per pair of a non-goal state, when its record is built; a goal's record
+    is the base's.
     """
 
     def __init__(self, base: SspProblem, selector: ModelSelector, name: str = ""):
@@ -141,12 +140,8 @@ class ReducedModel(SspProblem):
         if s in self.goals:  # a one-outcome self-loop: no principle cuts it
             return self.base.record(s)
         acts, costs, dists = self.base.record(s)
-        principle = self.selector.principle
-        reduced = []
-        for a, dist in zip(acts, dists):
-            kept = select_outcomes(principle(s, a), dist)
-            reduced.append(dist if kept is dist else make_distribution(kept))
-        return acts, costs, tuple(reduced)
+        cuts = (select_outcomes(self.selector.principle(s, a), d) for a, d in zip(acts, dists))
+        return acts, costs, tuple(cuts)
 
 
 def build_reduced_model(

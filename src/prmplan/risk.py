@@ -72,9 +72,9 @@ class RiskProfile:
     """Per-state estimates of the probability that a depth-limited walk
     encounters a risky state. Lazy: reach(s) is sampled on first query with
     a seed derived from (seed, s), so results are independent of query order.
-    Walks run over `compile_model(problem)`; the first query also evaluates
-    the predicate once per state of it into the risky mask. reach(s) raises
-    KeyError for a state not reachable from s0.
+    It reads `compile_model(problem)` only for its walks and its risky mask,
+    which the first query fills with the predicate at each state. reach(s)
+    raises KeyError for a state not reachable from s0.
     """
 
     problem: SspProblem
@@ -111,13 +111,6 @@ class RiskProfile:
                 value = int(risky[walks].any(axis=1).sum()) / self.samples
             self._reach[s] = value
         return value
-
-    def leads_to_risk(self, s: int, a: int) -> bool:
-        """True when some outcome of (s, a) is risky, read from the mask."""
-        model, risky = self._model()
-        pair = model.first_pair[model.position(s)] + self.problem.actions(s).index(a)
-        outcomes = model.succ[model.first_outcome[pair]:model.first_outcome[pair + 1]]
-        return bool(risky[outcomes].any())
 
 
 def exact_risk_reachability(

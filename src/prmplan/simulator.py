@@ -9,7 +9,6 @@ replanning in a risky state counts as a negative side effect.
 from __future__ import annotations
 
 import math
-import time
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -65,10 +64,6 @@ class ModelResult:
     @property
     def mean_cost(self) -> float:
         return self._mean(lambda t: t.total_cost)
-
-    @property
-    def mean_replans(self) -> float:
-        return self._mean(lambda t: t.replans)
 
     @property
     def mean_time(self) -> float:
@@ -137,13 +132,14 @@ def run_trial(
     """One planning-and-execution trial of the reduced model on the base.
 
     `initial` may carry a precomputed solve of the reduced model from s0
-    (its solve_time is charged as the trial's plan time); replanning keeps
-    the trial's own value dict warm across re-solves. Every plan is LAO*'s
-    best greedy policy, converged or not: the true model supplies the
-    stochasticity a stalled reduction lacks. The trial also keeps
-    its own set of solved states, seeded from `initial.solved` (which it
-    only reads) and joined by each replan's labels, so a replan stops at
-    states that the initial plan or an earlier replan has already solved.
+    (its solve_time is charged as the trial's plan time, and each replan's
+    as replan time); replanning keeps the trial's own value dict warm
+    across re-solves. Every plan is LAO*'s best greedy policy, converged or
+    not: the true model supplies the stochasticity a stalled reduction
+    lacks. The trial also keeps its own set of solved states, seeded from
+    `initial.solved` (which it only reads) and joined by each replan's
+    labels, so a replan stops at states that the initial plan or an earlier
+    replan has already solved.
     The trial stops after `step_cap` steps, by default 10 x base.n_states.
     """
     config = config or SimConfig()
@@ -169,14 +165,15 @@ def run_trial(
             stats.replans += 1
             if predicate(s):
                 stats.nse_hits += 1
-            t0 = time.perf_counter()
             solution = solve_lao_star(reduced, s, solver_cfg, values=values, solved=solved)
-            stats.replan_time += time.perf_counter() - t0
+            stats.replan_time += solution.solve_time
             policy.update(solution.policy)
             solved |= solution.solved
             a = policy[s]  # every LAO* pass backs up its start
-        stats.total_cost += base.cost(s, a)
-        dist = base.transition(s, a)
+        acts, costs, dists = base.record(s)
+        i = acts.index(a)
+        stats.total_cost += costs[i]
+        dist = dists[i]
         u = rng.random()
         acc = 0.0
         s2 = dist[-1][0]

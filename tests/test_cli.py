@@ -42,11 +42,37 @@ PINNED_TRIALS = {
     ("ev", "gen-1", "rm01", 2): "f00b63673b94ee967388ac3836ed3a213420368ec431da6a2ee301f75363e345",
 }
 
+# perfbench/run.py's three workloads at seed 1, in the argv order it builds
+# (100 trials, one job), with the digest that it prints for their trials.
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+PINNED_WORKLOADS = {
+    "racetrack-full": (
+        ("racetrack", "zigzag-6", "full", ()),
+        "f05f2cc50ff8f20963939d8081868daf3ca7f19df205d8fdd8c2454d1a191eb2",
+    ),
+    "racetrack-replan": (
+        ("racetrack", "zigzag-5", "mlod,m02,rm01", ()),
+        "0fe19fbe9603cf3cc5c2b7e78cb7b59d751b1b6dbad4ee7a393686054da211c2",
+    ),
+    "ev-risk": (
+        ("ev", str(PERFBENCH / "ev-gen-1.json"), "rm01", ("--samples", "300")),
+        "cf27d3af0183642f30d783ba9136cd48ac0bfff47fbaaa2795ed7920d8907bd1",
+    ),
+}
+
 
 def read_csv(path, drop=()):
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
     return [{k: v for k, v in row.items() if k not in drop} for row in rows]
+
+
+def outcome_digest(path):
+    """sha256 of a trials.csv without its timing columns, as perfbench's."""
+    digest = hashlib.sha256()
+    for row in read_csv(path, TIMING_TRIAL_COLS):
+        digest.update((",".join(f"{k}={v}" for k, v in row.items()) + "\n").encode())
+    return digest.hexdigest()
 
 
 def run_experiment_cli(tmp_path, subdir, extra=()):
@@ -327,10 +353,16 @@ class TestExperiment:
         argv = ["--domain", domain, "--instance", instance, "--models", models]
         argv += ["--trials", "10", "--seed", str(seed), "--out", str(tmp_path)]
         assert main(["experiment", *argv]) == 0
-        digest = hashlib.sha256()
-        for row in read_csv(tmp_path / "trials.csv", TIMING_TRIAL_COLS):
-            digest.update((",".join(f"{k}={v}" for k, v in row.items()) + "\n").encode())
-        assert digest.hexdigest() == PINNED_TRIALS[(domain, instance, models, seed)]
+        digest = outcome_digest(tmp_path / "trials.csv")
+        assert digest == PINNED_TRIALS[(domain, instance, models, seed)]
+
+    @pytest.mark.parametrize("workload", sorted(PINNED_WORKLOADS))
+    def test_benchmark_outcomes_pinned(self, tmp_path, capsys, workload):
+        (domain, instance, models, extra), expected = PINNED_WORKLOADS[workload]
+        argv = ["--domain", domain, "--instance", instance, "--models", models]
+        argv += ["--trials", "100", "--seed", "1", "--jobs", "1", *extra]
+        assert main(["experiment", *argv, "--out", str(tmp_path)]) == 0
+        assert outcome_digest(tmp_path / "trials.csv") == expected
 
 
 def test_import_leaves_scipy_unloaded():

@@ -1,5 +1,6 @@
 """Benchmark domains: racetrack, sailing, EV charging, and the registry."""
 
+import argparse
 import dataclasses
 import hashlib
 import json
@@ -11,11 +12,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from prmplan import (
+    ReducedModel,
     proper_hmin,
     reachable_states,
     solve_lao_star,
     solve_value_iteration,
 )
+from prmplan.cli import RM01_DEFAULTS, _make_selector
 from prmplan.domains import build_instance, desk_instances
 from prmplan.domains.ev import (
     DONE,
@@ -380,3 +383,35 @@ def test_shipped_models_pinned(domain, instance):
     source = str(REPO_ROOT / instance) if instance.endswith(".json") else instance
     problem, predicate = build_instance(domain, source)
     assert fingerprint(problem, predicate) == PINNED_MODELS[(domain, instance)]
+
+
+# sha256 over the base's states and the record of every base-reachable
+# state in each reduced model; rm01 uses the CLI defaults (30 walks of
+# depth 4, seed 0, threshold 0.25).
+PINNED_REDUCTIONS = {
+    ("racetrack", "ring-3", "mlod"): "df128091dca0ee57bd7b276260cabfdc3284d222f4a373e1b01d262d782e3d1a",
+    ("racetrack", "ring-3", "m02"): "c7573e2a99162a195eb6329bedb8d3e38af35e160be24adab1768fbee66d06a6",
+    ("racetrack", "ring-3", "rm01"): "bd36c9b3c56d9d8612aecb495e3f2d19b09a3835c2d678e3a8b2dc58dcdb6acb",
+    ("racetrack", "zigzag-5", "mlod"): "afee2ce82897ad06a0eb982c6c9760f65a1a3085c30a187f6dae644b5b4f3f37",
+    ("racetrack", "zigzag-5", "m02"): "5c751d34d74e161804579ba3e8150d05ed9ed0f7b01a7c541740f4521fd5dc7d",
+    ("racetrack", "zigzag-5", "rm01"): "4d253115c56c54cf2a2440e9db8a8b0a104b2bd6badb63514e7dc12f720097d3",
+    ("sailing", "8M", "mlod"): "5dd7ab078e9521d05e546649062f97f3c269bf6b08123ba53f2fb55198026d49",
+    ("sailing", "8M", "m02"): "e73d715bff858958b251194c6b555c14a3ecb49dadcbbca8483a064f7193c085",
+    ("sailing", "8M", "rm01"): "8adcc6084966583a720581e09a247976645a6894959dc06d7aa7cde88f4467e5",
+    ("ev", "gen-1", "mlod"): "bec19aa503777d0199a81bcd95856abd9297e342e6a1101809a6b29294f13b67",
+    ("ev", "gen-1", "m02"): "9b340b82f2f1055c54d565b1d8ff7e66ea3375fd281a6fab5699b39a127bee41",
+    ("ev", "gen-1", "rm01"): "87fa598cb059bf44ea5162e0c4667a7da74a68b11c1817b3da7c8cd739932be0",
+}
+
+
+@pytest.mark.parametrize("domain,instance,model", list(PINNED_REDUCTIONS))
+def test_reduced_models_pinned(domain, instance, model):
+    # Every reduced record is cut from the base's record; any change in how
+    # a principle is chosen or applied shows up here.
+    base, predicate = build_instance(domain, instance)
+    selector = _make_selector(model, base, predicate, argparse.Namespace(seed=0, **RM01_DEFAULTS))
+    reduced = ReducedModel(base, selector)
+    digest = hashlib.sha256(repr(base.states).encode())
+    for s in reachable_states(base):
+        digest.update(repr(reduced.record(s)).encode())
+    assert digest.hexdigest() == PINNED_REDUCTIONS[(domain, instance, model)]

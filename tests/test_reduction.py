@@ -204,8 +204,9 @@ class TestZeroOneSelector:
         "instance", [("racetrack", "ring-3"), ("sailing", "8M"), ("ev", "gen-1")], ids="-".join
     )
     def test_one_step_guard_matches_predicate(self, instance):
-        # The guard reads the profile's risky mask; every rm01 assignment
-        # equals the one computed by calling the predicate on each outcome.
+        # The guard evaluates the predicate on the outcomes of the pair's
+        # base distribution; every rm01 assignment equals the one computed
+        # here from the per-pair API, and the guard decides some of them.
         from prmplan.domains import build_instance
 
         problem, predicate = build_instance(*instance)

@@ -129,6 +129,28 @@ class TestRunTrial:
         assert replans > 0
         assert initial.values == before
 
+    def test_replan_time_is_lao_solve_time(self, replanned_reductions, monkeypatch):
+        # The plan and every replan are charged LAO*'s own solve_time, the
+        # clock that also gives t_full; no second clock runs around a replan.
+        from prmplan import simulator
+
+        solve_lao = simulator.solve_lao_star
+
+        def fixed_clock(*args, **kwargs):
+            solution = solve_lao(*args, **kwargs)
+            solution.solve_time = 0.25
+            return solution
+
+        monkeypatch.setattr(simulator, "solve_lao_star", fixed_clock)
+        label, base, reduced, predicate, hmin = replanned_reductions[0]
+        replans = 0
+        for seed in range(5):
+            stats = run_trial(base, reduced, predicate, seed=seed, heuristic=hmin)
+            assert stats.plan_time == 0.25, label
+            assert stats.replan_time == 0.25 * stats.replans, label
+            replans += stats.replans
+        assert replans > 0, label
+
     def test_seed_determinism(self, risky_fork):
         problem, predicate = risky_fork
         reduced = build_reduced_model(problem, UniformSelector(MOST_LIKELY))
@@ -224,7 +246,7 @@ class TestRunExperiment:
         )
         result = report.results[0]
         assert result.mean_nse == 0.0
-        assert result.mean_replans == 0.0
+        assert [t.replans for t in result.trials] == [0] * 200
         # Self-comparison: mean cost within sampling noise of V*.
         assert abs(result.pct_cost_increase(report.optimal_value)) < 15.0
 
