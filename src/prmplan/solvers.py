@@ -26,7 +26,6 @@ stays below epsilon. A stalled solve and value iteration label nothing.
 
 from __future__ import annotations
 
-import heapq
 import math
 import time
 from collections.abc import Callable, Iterator, Set
@@ -142,43 +141,26 @@ def compute_hmin(
 
     h_min is the fixpoint of ``h(s) = min_a [C(s,a) + min_{s'} h(s')]`` over
     the support of (s, a), with h = 0 on goals and inf where no goal is
-    reachable. One backward Dijkstra pass from the goals computes it, which
-    needs non-negative costs (every record checks that they are > 0). It is
-    consistent on the edges of the base model and so of every reduced model,
-    whose supports are subsets. The returned h raises KeyError for states
-    not reachable from s0. `start` may only name s0 and `config` is unused;
-    both remain for callers that pass them positionally.
+    reachable. Jacobi min-plus sweeps over the compiled model compute it
+    from 0 on goals (their zero-cost self-loops keep it) and inf elsewhere.
+    Values only fall, and no cycle lowers one since every cost is > 0 (each
+    record checks it), so h settles within n sweeps and the loop stops at
+    the first sweep that changes nothing. It is consistent on the edges of
+    the base model and so of every reduced model, whose supports are
+    subsets. The returned h raises KeyError for states not reachable from
+    s0. `start` may only name s0 and `config` is unused; both remain for
+    callers that pass them positionally.
     """
     if start is not None and start != problem.start:
         raise ValueError(f"h_min is computed from s0 = {problem.start}, not from {start}")
     model = compile_model(problem)
-    # The outcomes into position s', grouped by s' in outcome order, list
-    # each pair (s, a) with s' in its support: through it, s is a
-    # predecessor of s' at cost C(s, a). Edges and distances stay in numpy
-    # buffers read through memoryviews; a Python object per edge or per
-    # distance would lift peak memory above VI's.
-    n = len(model.states)
-    ptr = memoryview(np.concatenate(([0], np.cumsum(np.bincount(model.succ, minlength=n)))))
-    pairs = memoryview(_outcome_pairs(model)[np.argsort(model.succ, kind="stable")])
-    owner = memoryview(_owners(model))
-    weight = memoryview(model.cost)
-    h = np.full(n, np.inf)
-    dist = memoryview(h)
-    frontier = [(0.0, g) for g in np.flatnonzero(model.goal).tolist()]  # sorted, so a heap
-    for _, g in frontier:
-        dist[g] = 0.0
-    while frontier:
-        d, j = heapq.heappop(frontier)
-        if d > dist[j]:
-            continue
-        for k in range(ptr[j], ptr[j + 1]):
-            pair = pairs[k]
-            i = owner[pair]
-            new = weight[pair] + d
-            if new < dist[i]:
-                dist[i] = new
-                heapq.heappush(frontier, (new, i))
-    return dict(zip(model.states.tolist(), h.tolist())).__getitem__
+    h = np.where(model.goal, 0.0, np.inf)
+    while True:
+        q = model.cost + np.minimum.reduceat(h[model.succ], model.first_outcome[:-1])
+        new = np.minimum.reduceat(q, model.first_pair[:-1])
+        if np.array_equal(new, h):
+            return dict(zip(model.states.tolist(), h.tolist())).__getitem__
+        h = new
 
 
 def proper_hmin(problem: SspProblem) -> Callable[[int], float]:

@@ -7,12 +7,15 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from prmplan import (
     ReducedModel,
+    compile_model,
+    compute_hmin,
     proper_hmin,
     reachable_states,
     solve_lao_star,
@@ -383,6 +386,33 @@ def test_shipped_models_pinned(domain, instance):
     source = str(REPO_ROOT / instance) if instance.endswith(".json") else instance
     problem, predicate = build_instance(domain, source)
     assert fingerprint(problem, predicate) == PINNED_MODELS[(domain, instance)]
+
+
+# sha256 over the float64 bytes of h_min on every state of
+# compile_model(problem).states, in order.
+PINNED_HMIN = {
+    ("racetrack", "ring-3"): "0ee2921568ec6377665aa4461acfd58742b61dda9978c24de2009cc653ee2210",
+    ("racetrack", "zigzag-5"): "fdc3e1b9252da0001b8707dbec00b9ee5dc14fc8db6f81ea4b2393ebbe539c83",
+    ("racetrack", "zigzag-6"): "7c02968aef2938673024fc9ae402bc18f96076d75ec8a093c0216888d4024e76",
+    ("sailing", "8M"): "21e4cfa8b04b0829038eff8a7dfec3d261eee1ec4f79ffc8f6ec2856e7f7237b",
+    ("ev", "gen-1"): "58e0b19d62761ca2097f83ef10db62c195fca766853429fa6cbcc06991c7fec6",
+    ("racetrack", "zigzag-4"): "e04958fa886ff0adc204c78f0c0c8fd1cc5429f175f52c0e26a9fa3a98d0b9d8",
+    ("racetrack", "ring-5"): "a6bc5872a0cfede4989994e3bf9f0c19c4c0ffd2215770b52b81a8a15c9ac0b0",
+    ("ev", "gen-6"): "2709e8088e727acaa203e360f9cdb939cf830f5e31cd5ac20f25017682871664",
+    # perfbench's ev-risk scenario file, read only.
+    ("ev", "perfbench/ev-gen-1.json"): "58e0b19d62761ca2097f83ef10db62c195fca766853429fa6cbcc06991c7fec6",
+}
+
+
+@pytest.mark.parametrize("domain,instance", list(PINNED_HMIN))
+def test_hmin_pinned(domain, instance):
+    # Every LAO* solve is guided by h_min, so a last-bit change in it can
+    # flip a tie and move whole trials.
+    source = str(REPO_ROOT / instance) if instance.endswith(".json") else instance
+    problem, _ = build_instance(domain, source)
+    h = compute_hmin(problem)
+    values = np.array([h(s) for s in compile_model(problem).states.tolist()])
+    assert hashlib.sha256(values.tobytes()).hexdigest() == PINNED_HMIN[(domain, instance)]
 
 
 # sha256 over the base's states and the record of every base-reachable

@@ -7,11 +7,14 @@ import numpy as np
 import pytest
 
 from prmplan import (
+    MOST_LIKELY,
     ModelError,
     NonconvergenceError,
     SolverConfig,
+    UniformSelector,
     bellman_backup,
     build_reduced_model,
+    compile_model,
     compute_hmin,
     reachable_states,
     solve_lao_star,
@@ -44,7 +47,8 @@ def random_proper_ssp(seed: int, n_states: int = 12, n_actions: int = 3):
 
 def hmin_reference(problem):
     """Bellman-Ford on the all-outcomes-min relaxation, by plain loops:
-    h(s) = min_a [C(s,a) + min_{s'} h(s')], h = 0 on goals."""
+    h(s) = min_a [C(s,a) + min_{s'} h(s')], h = 0 on goals. It reads the
+    records, never the compiled model whose arrays compute_hmin sweeps."""
     states = reachable_states(problem)
     h = {s: 0.0 if problem.is_goal(s) else math.inf for s in states}
     for _ in range(len(states)):
@@ -391,10 +395,43 @@ class TestHmin:
         h = compute_hmin(problem)
         assert {s: h(s) for s in reachable_states(problem)} == hmin_reference(problem)
 
-    def test_exact_on_sailing(self, small_sailing):
-        problem, _ = small_sailing
+    @pytest.mark.parametrize("instance", ["small_sailing", "tiny_racetrack", "small_ev"])
+    def test_exact_on_domains(self, instance, request):
+        problem, _ = request.getfixturevalue(instance)
         h = compute_hmin(problem)
         assert {s: h(s) for s in reachable_states(problem)} == hmin_reference(problem)
+
+    def test_exact_on_a_long_chain(self):
+        # Each sweep settles one more state of the chain, so this takes one
+        # sweep per state.
+        n = 500
+        problem = tabular_problem(
+            transitions={(i, 0): [(i + 1, 1.0)] for i in range(n - 1)},
+            costs={(i, 0): 1.0 for i in range(n - 1)},
+            start=0,
+            goals={n - 1},
+        )
+        h = compute_hmin(problem)
+        assert [h(i) for i in range(n)] == [float(n - 1 - i) for i in range(n)]
+        assert {s: h(s) for s in range(n)} == hmin_reference(problem)
+
+    @pytest.mark.parametrize(
+        "domain,instance",
+        [("racetrack", "ring-3"), ("racetrack", "zigzag-5"), ("sailing", "8M"), ("ev", "gen-1")],
+    )
+    def test_reduced_model_hmin(self, domain, instance):
+        # mlod keeps one outcome per pair, so its own h_min is its value
+        # function; its supports are subsets of the base's, so that h_min is
+        # never below the base's.
+        from prmplan.domains import build_instance
+
+        base, _ = build_instance(domain, instance)
+        reduced = build_reduced_model(base, UniformSelector(MOST_LIKELY), name="mlod")
+        h, h_base = compute_hmin(reduced), compute_hmin(base)
+        vi = solve_value_iteration(reduced, SolverConfig(epsilon=EPS))
+        for s in compile_model(reduced).states.tolist():
+            assert abs(h(s) - vi.values[s]) <= 2 * EPS, s
+            assert h(s) >= h_base(s), s
 
     @pytest.mark.parametrize("seed", range(4))
     def test_consistent_without_epsilon(self, seed):
