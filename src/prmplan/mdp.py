@@ -6,12 +6,13 @@ A problem reads one callback, `expand_fn(s)`, that yields
 each goal is made absorbing by one zero-cost self-loop. Domain builders
 state their dynamics once, as `expand(state)` over their own state
 objects; `search_problem` numbers the states it reaches and wraps it as
-the callback. Each problem keeps one memo: the per-state record built on
-first use, and the `CompiledModel` that `compile_model` flattens, once,
-from the records of the states reachable from s0. The Bellman kernel, LAO*
-and the model walkers read records; value iteration, h_min and the risk
-walker read the compiled model. The per-pair API (`actions`, `cost`,
-`transition`) is a view of the records.
+the callback. Each problem memoizes the per-state record built on first
+use, and the `CompiledModel` that `compile_model` flattens, once, from the
+records of the states reachable from s0; its records draw equal outcome
+pairs from one table per problem. The Bellman kernel, LAO* and the model
+walkers read records; value iteration, h_min and the risk walker read the
+compiled model. The per-pair API (`actions`, `cost`, `transition`) is a
+view of the records.
 """
 
 from __future__ import annotations
@@ -81,7 +82,8 @@ class SspProblem:
     their validated distributions, memoized per state; building it is where
     the model is checked. A goal's record is one zero-cost self-loop on
     action 0. `actions`, `cost` and `transition` read it. `compile_model`
-    memoizes its flat arrays beside the records.
+    memoizes its flat arrays beside the records. Equal (int, float) outcome
+    pairs are one object per problem; action and cost tuples are not shared.
     Immutable after construction (the memos fill idempotently), so one
     instance can back any number of concurrent solves and trials.
     """
@@ -100,6 +102,7 @@ class SspProblem:
         self.name = name
         self._expand_fn = expand_fn
         self._record_memo: dict[int, StateRecord] = {}
+        self._pairs: dict[Outcome, Outcome] = {}
         self._compiled: CompiledModel | None = None
 
     def is_goal(self, s: int) -> bool:
@@ -116,7 +119,7 @@ class SspProblem:
 
     def _build_record(self, s: int) -> StateRecord:
         if s in self.goals:
-            return (0,), (0.0,), (((s, 1.0),),)
+            return (0,), (0.0,), (self._share(((s, 1.0),)),)
         entries = sorted(self._expand_fn(s), key=itemgetter(0))
         if not entries:
             raise ModelError(f"state {s} is not a goal and has no applicable action")
@@ -125,10 +128,16 @@ class SspProblem:
             try:
                 if not c > 0.0:  # nan fails too
                     raise ModelError(f"cost {c} is not > 0")
-                dists.append(make_distribution(outcomes))
+                dists.append(self._share(make_distribution(outcomes)))
             except ModelError as exc:
                 raise ModelError(f"at (s={s}, a={a}): {exc}") from None
         return tuple(e[0] for e in entries), tuple(e[1] for e in entries), tuple(dists)
+
+    def _share(self, d: Distribution) -> Distribution:
+        """d with each (int, float) pair swapped for the table's equal one;
+        other types (a tabular `(s, 1)`) stay as given, so no repr changes."""
+        share = self._pairs.setdefault
+        return tuple([share(o, o) if type(o[0]) is int and type(o[1]) is float else o for o in d])
 
     def actions(self, s: int) -> tuple[int, ...]:
         return self.record(s)[0]

@@ -11,6 +11,7 @@ elsewhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import is_
 from typing import TYPE_CHECKING
 
 from .mdp import Distribution, SspProblem, StateRecord, make_distribution, reachable_states
@@ -94,8 +95,8 @@ class ZeroOneSelector(ModelSelector):
     """The 0/1 RM selector: full model near risk, determinization elsewhere.
 
     A pair gets the full model when the state's estimated reachability to
-    risk meets the threshold, or when the predicate holds on some outcome of
-    the pair's base distribution (the one-step guard, as `nse_set` reads it).
+    risk meets the threshold, or when an outcome of the pair's base
+    distribution is one of the profile's risky states (the one-step guard).
     """
 
     def __init__(self, risk_profile: "RiskProfile", threshold: float):
@@ -108,7 +109,8 @@ class ZeroOneSelector(ModelSelector):
         profile = self.risk_profile
         if profile.reach(s) >= self.threshold:
             return FULL_MODEL
-        if any(profile.predicate(s2) for s2, _ in profile.problem.transition(s, a)):
+        risky = profile.risky_states()
+        if any(s2 in risky for s2, _ in profile.problem.transition(s, a)):
             return FULL_MODEL
         return MOST_LIKELY
 
@@ -116,12 +118,13 @@ class ZeroOneSelector(ModelSelector):
 class ReducedModel(SspProblem):
     """The base problem with each distribution cut by the selector.
 
-    States, start and goals are the base's. Each record is derived from
-    the base's record of the same state alone: the action and cost tuples
-    are shared, and each distribution is `select_outcomes` of the base's,
-    which is the base's object when kept whole. The selector is asked once
-    per pair of a non-goal state, when its record is built; a goal's record
-    is the base's.
+    States, start, goals and the pair table are the base's. Each record is
+    derived from the base's record of the same state alone: the action and
+    cost tuples are shared, and each distribution is `select_outcomes` of
+    the base's, which is the base's object when kept whole and is built from
+    the base's pairs when cut. A state with no cut gets the base's record
+    object. The selector is asked once per pair of a non-goal state, when
+    its record is built; a goal's record is the base's.
     """
 
     def __init__(self, base: SspProblem, selector: ModelSelector, name: str = ""):
@@ -135,13 +138,17 @@ class ReducedModel(SspProblem):
         )
         self.base = base
         self.selector = selector
+        self._pairs = base._pairs
 
     def _build_record(self, s: int) -> StateRecord:
+        record = self.base.record(s)
         if s in self.goals:  # a one-outcome self-loop: no principle cuts it
-            return self.base.record(s)
-        acts, costs, dists = self.base.record(s)
-        cuts = (select_outcomes(self.selector.principle(s, a), d) for a, d in zip(acts, dists))
-        return acts, costs, tuple(cuts)
+            return record
+        acts, costs, dists = record
+        cuts = [select_outcomes(self.selector.principle(s, a), d) for a, d in zip(acts, dists)]
+        if all(map(is_, cuts, dists)):
+            return record
+        return acts, costs, tuple([c if c is d else self._share(c) for c, d in zip(cuts, dists)])
 
 
 def build_reduced_model(

@@ -4,10 +4,10 @@ Reachability to risky states is estimated per state as the share of
 depth-limited walks, each choosing its action uniformly at random, that
 meet a risky state. A profile advances each state's walks in lockstep over
 the problem's memoized compiled model (pair and outcome offsets, successor
-positions, shifted cumulative probabilities), beside which it keeps only a
-risky mask of its own predicate. The exact enumeration oracle walks the
-records instead. The resulting profile feeds the 0/1 reduced model
-selector.
+positions, shifted cumulative probabilities), beside which it keeps only
+its predicate's risky mask and the ids of the risky states. The exact
+enumeration oracle walks the records instead. The resulting profile feeds
+the 0/1 reduced model selector.
 """
 
 from __future__ import annotations
@@ -73,8 +73,9 @@ class RiskProfile:
     encounters a risky state. Lazy: reach(s) is sampled on first query with
     a seed derived from (seed, s), so results are independent of query order.
     It reads `compile_model(problem)` only for its walks and its risky mask,
-    which the first query fills with the predicate at each state. reach(s)
-    raises KeyError for a state not reachable from s0.
+    which the first query fills with the predicate at each state, and the
+    ids of the risky states, `risky_states()`. reach(s) raises KeyError for
+    a state not reachable from s0.
     """
 
     problem: SspProblem
@@ -84,6 +85,7 @@ class RiskProfile:
     seed: int = 0
     _reach: dict[int, float] = field(default_factory=dict, repr=False)
     _risky: np.ndarray | None = field(default=None, repr=False, compare=False)
+    _risky_ids: frozenset[int] = field(default=frozenset(), repr=False, compare=False)
 
     def __post_init__(self):
         if self.samples < 1 or self.depth < 1:
@@ -96,8 +98,15 @@ class RiskProfile:
         """The compiled base model and the predicate at each of its positions."""
         model = compile_model(self.problem)
         if self._risky is None:
-            self._risky = np.array(list(map(self.predicate, model.states.tolist())), dtype=bool)
+            risky = np.array(list(map(self.predicate, model.states.tolist())), dtype=bool)
+            self._risky_ids = frozenset(model.states[risky].tolist())
+            self._risky = risky  # last: a trial thread that sees the mask sees the ids
         return model, self._risky
+
+    def risky_states(self) -> frozenset[int]:
+        """The ids of the states reachable from s0 where the predicate holds."""
+        self._model()
+        return self._risky_ids
 
     def reach(self, s: int) -> float:
         value = self._reach.get(s)

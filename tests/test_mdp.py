@@ -2,7 +2,9 @@
 
 import argparse
 import math
+import tracemalloc
 from array import array
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +37,8 @@ from prmplan.cli import _make_selector
 from prmplan.domains import build_instance
 
 REDUCTIONS = ("mlod", "m02", "rm01")
+# perfbench's ev-risk scenario file, read only.
+EV_FILE = str(Path(__file__).resolve().parents[1] / "perfbench" / "ev-gen-1.json")
 
 
 def reference_backup(problem, values, s, heuristic=None):
@@ -290,8 +294,26 @@ class TestStateRecord:
         for label, base, _ in domain_models:
             full = build_reduced_model(base, UniformSelector(FULL_MODEL))
             for s in reachable_states(base):
-                for mine, theirs in zip(full.record(s)[2], base.record(s)[2]):
-                    assert mine is theirs, f"{label} state {s}"
+                assert full.record(s) is base.record(s), f"{label} state {s}"
+
+    def test_whole_kept_rm01_state_is_the_base_record(self, domain_models):
+        # A state whose every pair keeps its base distribution (a `full`
+        # assignment, or most-likely of a single outcome) reuses the base's
+        # record object; any cut gives the state a record of its own.
+        for label, base, selectors in domain_models:
+            selector = selectors["rm01"]
+            rm01 = build_reduced_model(base, selector)
+            seen = set()
+            for s in reachable_states(base):
+                if base.is_goal(s):
+                    continue
+                acts, _, dists = base.record(s)
+                whole = all(
+                    select_outcomes(selector.principle(s, a), d) is d for a, d in zip(acts, dists)
+                )
+                assert (rm01.record(s) is base.record(s)) == whole, f"{label} state {s}"
+                seen.add(whole)
+            assert seen == {True, False}, label
 
     def test_selector_error_leaves_no_partial_record(self, risky_fork):
         problem, _ = risky_fork
@@ -312,6 +334,55 @@ class TestStateRecord:
         for _ in range(2):
             with pytest.raises(ModelError, match=r"s=0, a=1"):
                 bellman_backup(problem, {}, 0)
+
+
+class TestPairSharing:
+    @pytest.mark.parametrize(
+        "instance", [("racetrack", "zigzag-5"), ("ev", EV_FILE)], ids=["zigzag-5", "ev-file"]
+    )
+    def test_equal_pairs_are_one_object(self, instance):
+        # The base and every reduction cut from it draw their outcome pairs
+        # from the base's one table.
+        base, predicate = build_instance(*instance)
+        compile_model(base)
+        states = reachable_states(base)
+        pairs = [o for s in states for d in base.record(s)[2] for o in d]
+        args = argparse.Namespace(samples=30, depth=4, seed=0, threshold=0.25)
+        for name in REDUCTIONS:
+            reduced = build_reduced_model(base, _make_selector(name, base, predicate, args))
+            pairs += [o for s in states for d in reduced.record(s)[2] for o in d]
+        assert len({id(o) for o in pairs}) == len(set(pairs))
+
+    def test_sharing_keeps_every_repr(self):
+        # (1, 1) equals (1, 1.0) and hashes alike, and state 0's actions
+        # (1, 2) equal its costs (1.0, 2.0); each record must read exactly
+        # as the unshared build (make_distribution per pair) gives it, in
+        # whichever order the records are built.
+        transitions = {
+            (0, 1): [(1, 1)],
+            (0, 2): [(1, 1.0)],
+            (2, 1): [(1, 1.0)],
+            (2, 2): [(1, 0.75), (0, 0.25)],
+            (3, 1): [(1, 1)],
+            (3, 2): [(2, 0.25), (1, 0.75)],
+        }
+        costs = {(0, 1): 1.0, (0, 2): 2.0, (2, 1): 1.0, (2, 2): 1, (3, 1): 3, (3, 2): 1.0}
+        states = (0, 1, 2, 3)
+        expected = {1: "((0,), (0.0,), (((1, 1.0),),))"}
+        for s in (0, 2, 3):
+            acts = (1, 2)
+            dists = tuple(make_distribution(transitions[(s, a)]) for a in acts)
+            expected[s] = repr((acts, tuple(costs[(s, a)] for a in acts), dists))
+        assert expected[0] == "((1, 2), (1.0, 2.0), (((1, 1),), ((1, 1.0),)))"
+        for order in (states, states[::-1]):
+            problem = tabular_problem(transitions, costs, start=0, goals={1})
+            mlod = build_reduced_model(problem, UniformSelector(MOST_LIKELY))
+            for s in order:
+                assert repr(problem.record(s)) == expected[s], s
+                assert repr(mlod.record(s)[:2]) == repr(problem.record(s)[:2]), s
+            assert mlod.record(2)[2][1] == ((1, 1.0),)
+            assert mlod.record(2)[2][1][0] is problem.record(0)[2][1][0]
+            assert repr(mlod.record(3)[2]) == "(((1, 1),), ((1, 1.0),))"
 
 
 def raising_on(goal, transitions):
@@ -456,6 +527,25 @@ class TestCompileModel:
         model = compile_model(chain3)
         assert compile_model(chain3) is model
         assert model.states.tolist() == [0, 1, 2]
+
+    @pytest.mark.parametrize(
+        "instance,bound_mb",
+        [(("racetrack", "zigzag-5"), 10.4), (("ev", EV_FILE), 11.0)],
+        ids=["zigzag-5", "ev-file"],
+    )
+    def test_retained_bytes_bounded(self, instance, bound_mb):
+        # What compile_model leaves allocated: every reachable record and
+        # the flat arrays. Sharing equal outcome pairs took these from 11.8
+        # to 9.0 MB (zigzag-5) and from 13.7 to 8.1 MB (the EV file); each
+        # bound sits about midway, so losing the sharing fails it.
+        problem, _ = build_instance(*instance)
+        tracemalloc.start()
+        try:
+            compile_model(problem)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < bound_mb * 1e6
 
     def test_reduced_model_compiles_its_own_records(self, risky_fork):
         problem, _ = risky_fork
