@@ -9,7 +9,7 @@ objects; `search_problem` numbers the states it reaches and wraps it as
 the callback. Each problem memoizes the per-state record built on first
 use, and the `CompiledModel` that `compile_model` flattens, once, from the
 records of the states reachable from s0; its records draw equal outcome
-pairs from one table per problem. The Bellman kernel, LAO* and the model
+pairs and equal rows from its tables. The Bellman kernel, LAO* and the model
 walkers read records; value iteration, h_min and the risk walker read the
 compiled model. The per-pair API (`actions`, `cost`, `transition`) is a
 view of the records.
@@ -80,10 +80,12 @@ class SspProblem:
     yields at least one action, and each costs > 0 (inf included), as an
     SSP needs. `record(s)` holds those actions in id order, their costs and
     their validated distributions, memoized per state; building it is where
-    the model is checked. A goal's record is one zero-cost self-loop on
-    action 0. `actions`, `cost` and `transition` read it. `compile_model`
-    memoizes its flat arrays beside the records. Equal (int, float) outcome
-    pairs are one object per problem; action and cost tuples are not shared.
+    the model is checked; an id outside 0..n_states-1 raises KeyError. A
+    goal's record is one zero-cost self-loop on action 0. `actions`, `cost`
+    and `transition` read it. `compile_model` memoizes its flat arrays beside
+    the records, then drops `expand_fn` if every id has its record. Equal
+    (int, float) outcome pairs, and equal action or cost rows of the same
+    element types, are one object per problem.
     Immutable after construction (the memos fill idempotently), so one
     instance can back any number of concurrent solves and trials.
     """
@@ -103,6 +105,7 @@ class SspProblem:
         self._expand_fn = expand_fn
         self._record_memo: dict[int, StateRecord] = {}
         self._pairs: dict[Outcome, Outcome] = {}
+        self._rows: dict[tuple, tuple] = {}
         self._compiled: CompiledModel | None = None
 
     def is_goal(self, s: int) -> bool:
@@ -114,13 +117,18 @@ class SspProblem:
         or pair that raised it, and a record whose build raised is not kept."""
         rec = self._record_memo.get(s)
         if rec is None:
+            if not 0 <= s < self.n_states:
+                raise KeyError(f"state {s} is outside 0..{self.n_states - 1}")
             rec = self._record_memo[s] = self._build_record(s)
         return rec
 
     def _build_record(self, s: int) -> StateRecord:
         if s in self.goals:
             return (0,), (0.0,), (self._share(((s, 1.0),)),)
-        entries = sorted(self._expand_fn(s), key=itemgetter(0))
+        expand_fn = self._expand_fn
+        if expand_fn is None:  # dropped by compile_model once all were built; s lost a race
+            return self._record_memo[s]
+        entries = sorted(expand_fn(s), key=itemgetter(0))
         if not entries:
             raise ModelError(f"state {s} is not a goal and has no applicable action")
         dists = []
@@ -131,7 +139,10 @@ class SspProblem:
                 dists.append(self._share(make_distribution(outcomes)))
             except ModelError as exc:
                 raise ModelError(f"at (s={s}, a={a}): {exc}") from None
-        return tuple(e[0] for e in entries), tuple(e[1] for e in entries), tuple(dists)
+        rows = tuple(e[0] for e in entries), tuple(e[1] for e in entries)
+        # Keyed by element types too, so that (1, 2) never stands in for (1.0, 2.0).
+        acts, costs = [self._rows.setdefault((r, tuple(map(type, r))), r) for r in rows]
+        return acts, costs, tuple(dists)
 
     def _share(self, d: Distribution) -> Distribution:
         """d with each (int, float) pair swapped for the table's equal one;
@@ -223,7 +234,9 @@ def numbered_problem(
     states: list, index: Mapping[Hashable, int], goals: Iterable[int], expand: Expand, name=""
 ) -> SspProblem:
     """The problem whose state i is `states[i]`, with `index` its inverse and
-    start 0. `expand` is as for `search_problem`."""
+    start 0. `expand` is as for `search_problem`. Its callback holds `index`
+    and `expand`, so both are freed once `compile_model` has built every
+    record; `problem.states` stays."""
 
     def expand_fn(s: int) -> list[tuple[int, float, list[Outcome]]]:
         return [
@@ -326,9 +339,13 @@ class CompiledModel(NamedTuple):
 def compile_model(problem: SspProblem) -> CompiledModel:
     """The problem's records over the states reachable from s0, flattened
     once and memoized on the problem. A goal's zero-cost self-loop makes it
-    absorbing. A record that fails its checks raises its ModelError here."""
+    absorbing. A record that fails its checks raises its ModelError here.
+    The arrays are written without whole-model temporaries. When s0 reaches
+    every id, the problem drops its callback: no record is left to build."""
     if problem._compiled is None:
         problem._compiled = _flatten(problem)
+        if len(problem._record_memo) == problem.n_states:
+            problem._expand_fn = None
     return problem._compiled
 
 
@@ -337,20 +354,29 @@ def _flatten(problem: SspProblem) -> CompiledModel:
     records = [problem.record(s) for s in states.tolist()]
     n_acts = np.fromiter((len(r[0]) for r in records), np.int64, len(records))
     dists = [d for r in records for d in r[2]]
-    outcomes = list(chain.from_iterable(dists))
-    n_pairs, n_outcomes = len(dists), len(outcomes)
+    n_pairs = len(dists)
     counts = np.fromiter(map(len, dists), np.int64, n_pairs)
     first_outcome = np.concatenate(([0], np.cumsum(counts)))
-    prob = np.fromiter(map(itemgetter(1), outcomes), np.float64, n_outcomes)
+    n_outcomes = int(first_outcome[-1])
+    prob = np.fromiter(map(itemgetter(1), chain.from_iterable(dists)), np.float64, n_outcomes)
+    succ = np.fromiter(map(itemgetter(0), chain.from_iterable(dists)), np.int64, n_outcomes)
+    if states[-1] != len(states) - 1:  # else positions are ids
+        succ = np.searchsorted(states, succ)
     # Running sums from 0.0 in outcome order, one outcome rank at a time
-    # over all pairs: the additions of a plain per-pair loop.
-    acc = prob.copy()
-    for k in range(1, int(counts.max())):
-        j = first_outcome[:-1][counts > k] + k
-        acc[j] = acc[j - 1] + prob[j]
-    cum = np.repeat(np.arange(n_pairs), counts) + acc
+    # over all pairs, then each shifted by its pair id: the additions of a
+    # plain per-pair loop, written in place.
+    cum = prob.copy()
+    n_ranks = int(counts.max())
+    for k in range(1, n_ranks):
+        j = first_outcome[:-1][counts > k]
+        j += k
+        cum[j] += cum[j - 1]
+    for k in range(n_ranks):
+        live = np.flatnonzero(counts > k)
+        j = first_outcome[live]
+        j += k
+        cum[j] += live
     cum[first_outcome[1:] - 1] = np.arange(1, n_pairs + 1)
-    succ = np.fromiter(map(itemgetter(0), outcomes), np.int64, n_outcomes)
     goals = problem.goals
     return CompiledModel(
         states=states,
@@ -358,7 +384,7 @@ def _flatten(problem: SspProblem) -> CompiledModel:
         first_outcome=first_outcome,
         action=np.fromiter(chain.from_iterable(r[0] for r in records), np.int64, n_pairs),
         cost=np.fromiter(chain.from_iterable(r[1] for r in records), np.float64, n_pairs),
-        succ=np.searchsorted(states, succ),
+        succ=succ,
         prob=prob,
         cum=cum,
         goal=np.fromiter((s in goals for s in states.tolist()), dtype=bool, count=len(states)),

@@ -93,8 +93,8 @@ def solve_value_iteration(problem: SspProblem, config: SolverConfig | None = Non
     sup-norm residual drops below epsilon. A sweep computes every pair's
     Q-value as its cost plus its expected successor value, takes each
     state's minimum over its pairs and pins goals to 0. The policy takes
-    the lowest action among the minimal pairs. Raises NonconvergenceError
-    after `config.max_iterations` sweeps.
+    the lowest action among the minimal pairs. Sweeps reuse one outcome-sized
+    buffer. Raises NonconvergenceError after `config.max_iterations` sweeps.
     """
     config = config or SolverConfig()
     t0 = time.perf_counter()
@@ -107,8 +107,12 @@ def solve_value_iteration(problem: SspProblem, config: SolverConfig | None = Non
     n = len(model.states)
 
     v = np.zeros(n)
+    # mode="clip" fills `out` directly; mode="raise" would gather into a copy.
+    terms = np.empty(len(model.succ))
     for _ in range(config.max_iterations):
-        q = model.cost + np.bincount(pair_of, model.prob * v[model.succ], n_pairs)
+        np.take(v, model.succ, out=terms, mode="clip")
+        np.multiply(terms, model.prob, out=terms)
+        q = model.cost + np.bincount(pair_of, terms, n_pairs)
         v_new = np.minimum.reduceat(q, first)
         v_new[model.goal] = 0.0
         residual = float(np.max(np.abs(v_new - v)))
@@ -142,21 +146,23 @@ def compute_hmin(
     h_min is the fixpoint of ``h(s) = min_a [C(s,a) + min_{s'} h(s')]`` over
     the support of (s, a), with h = 0 on goals and inf where no goal is
     reachable. Jacobi min-plus sweeps over the compiled model compute it
-    from 0 on goals (their zero-cost self-loops keep it) and inf elsewhere.
-    Values only fall, and no cycle lowers one since every cost is > 0 (each
-    record checks it), so h settles within n sweeps and the loop stops at
-    the first sweep that changes nothing. It is consistent on the edges of
-    the base model and so of every reduced model, whose supports are
-    subsets. The returned h raises KeyError for states not reachable from
-    s0. `start` may only name s0 and `config` is unused; both remain for
-    callers that pass them positionally.
+    from 0 on goals (their zero-cost self-loops keep it) and inf elsewhere,
+    reusing one outcome-sized buffer. Values only fall, and no cycle lowers
+    one since every cost is > 0 (each record checks it), so h settles within
+    n sweeps and the loop stops at the first sweep that changes nothing. It
+    is consistent on the edges of the base model and so of every reduced
+    model, whose supports are subsets. The returned h raises KeyError for
+    states not reachable from s0. `start` may only name s0 and `config` is
+    unused; both remain for callers that pass them positionally.
     """
     if start is not None and start != problem.start:
         raise ValueError(f"h_min is computed from s0 = {problem.start}, not from {start}")
     model = compile_model(problem)
     h = np.where(model.goal, 0.0, np.inf)
+    h_succ = np.empty(len(model.succ))
     while True:
-        q = model.cost + np.minimum.reduceat(h[model.succ], model.first_outcome[:-1])
+        np.take(h, model.succ, out=h_succ, mode="clip")
+        q = model.cost + np.minimum.reduceat(h_succ, model.first_outcome[:-1])
         new = np.minimum.reduceat(q, model.first_pair[:-1])
         if np.array_equal(new, h):
             return dict(zip(model.states.tolist(), h.tolist())).__getitem__

@@ -3,6 +3,7 @@
 import argparse
 import math
 import tracemalloc
+import weakref
 from array import array
 from pathlib import Path
 
@@ -251,14 +252,15 @@ class TestBackupKernel:
                 self.assert_matches_reference(problem, skewed, states)
 
 
-def expected_record(problem, s):
-    """The record of s rebuilt from the base's raw domain callback and, on
-    a reduced model, cut by the selector: a distribution kept whole stays
-    as it is, a cut one is renormalized. A goal's is its self-loop."""
+def expected_record(problem, s, twin):
+    """The record of s rebuilt from the raw domain callback of `twin`, a
+    freshly built copy of the base (a compiled base has released its own),
+    and, on a reduced model, cut by the selector: a distribution kept whole
+    stays as it is, a cut one is renormalized. A goal's is its self-loop."""
     if problem.is_goal(s):
         return (0,), (0.0,), (((s, 1.0),),)
     base = getattr(problem, "base", problem)
-    expanded = {a: (c, outcomes) for a, c, outcomes in base._expand_fn(s)}
+    expanded = {a: (c, outcomes) for a, c, outcomes in twin._expand_fn(s)}
     acts = tuple(sorted(expanded))
     dists = []
     for a in acts:
@@ -273,9 +275,10 @@ def expected_record(problem, s):
 class TestStateRecord:
     def test_equals_per_pair_api(self, domain_models):
         for label, base, selectors in domain_models:
+            twin, _ = build_instance(*label.split("-", 1))
             for name, problem in model_variants(base, selectors):
                 for s in reachable_states(base):
-                    expected = expected_record(problem, s)
+                    expected = expected_record(problem, s, twin)
                     assert problem.record(s) == expected, f"{label}/{name} state {s}"
                     for a, c, dist in zip(*expected):
                         assert problem.cost(s, a) == c
@@ -337,21 +340,48 @@ class TestStateRecord:
 
 
 class TestPairSharing:
+    @staticmethod
+    def base_and_reductions(instance):
+        """The states reachable in a compiled build of the instance, and that
+        base followed by every reduction cut from it."""
+        base, predicate = build_instance(*instance)
+        compile_model(base)
+        args = argparse.Namespace(samples=30, depth=4, seed=0, threshold=0.25)
+        reduced = [
+            build_reduced_model(base, _make_selector(name, base, predicate, args))
+            for name in REDUCTIONS
+        ]
+        return reachable_states(base), [base, *reduced]
+
     @pytest.mark.parametrize(
         "instance", [("racetrack", "zigzag-5"), ("ev", EV_FILE)], ids=["zigzag-5", "ev-file"]
     )
     def test_equal_pairs_are_one_object(self, instance):
         # The base and every reduction cut from it draw their outcome pairs
         # from the base's one table.
-        base, predicate = build_instance(*instance)
-        compile_model(base)
-        states = reachable_states(base)
-        pairs = [o for s in states for d in base.record(s)[2] for o in d]
-        args = argparse.Namespace(samples=30, depth=4, seed=0, threshold=0.25)
-        for name in REDUCTIONS:
-            reduced = build_reduced_model(base, _make_selector(name, base, predicate, args))
-            pairs += [o for s in states for d in reduced.record(s)[2] for o in d]
+        states, problems = self.base_and_reductions(instance)
+        pairs = [o for p in problems for s in states for d in p.record(s)[2] for o in d]
         assert len({id(o) for o in pairs}) == len(set(pairs))
+
+    @pytest.mark.parametrize(
+        "instance", [("racetrack", "zigzag-5"), ("ev", EV_FILE)], ids=["zigzag-5", "ev-file"]
+    )
+    def test_equal_rows_are_one_object(self, instance):
+        # Equal action rows, and equal cost rows, are one object over the
+        # base and every reduction cut from it.
+        states, problems = self.base_and_reductions(instance)
+        for i in (0, 1):
+            rows = [p.record(s)[i] for p in problems for s in states]
+            assert len({id(r) for r in rows}) == len(set(rows)) < len(states)
+
+    def test_shared_rows_keep_their_types(self):
+        # Sailing 8M has states whose actions (1, 2, 3, 4) or (2, 3, 4)
+        # equal their costs; no shared row may change an element's type.
+        problem, _ = build_instance("sailing", "8M")
+        for s in compile_model(problem).states.tolist():
+            acts, costs, _ = problem.record(s)
+            assert {type(a) for a in acts} == {int}, s
+            assert {type(c) for c in costs} == {float}, s
 
     def test_sharing_keeps_every_repr(self):
         # (1, 1) equals (1, 1.0) and hashes alike, and state 0's actions
@@ -383,6 +413,63 @@ class TestPairSharing:
             assert mlod.record(2)[2][1] == ((1, 1.0),)
             assert mlod.record(2)[2][1][0] is problem.record(0)[2][1][0]
             assert repr(mlod.record(3)[2]) == "(((1, 1),), ((1, 1.0),))"
+
+
+class TestStateIds:
+    """An id outside 0..n_states-1 is named in a KeyError, before and after
+    the problem is compiled, and no solve starts from it."""
+
+    @staticmethod
+    def assert_rejects_outside_ids(problem):
+        n = problem.n_states
+        for s in (-1, n):
+            with pytest.raises(KeyError, match=rf"state {s} is outside 0\.\.{n - 1}"):
+                problem.record(s)
+        with pytest.raises(KeyError, match=r"state -1 is outside"):
+            solve_lao_star(problem, -1)
+
+    def test_numbered_problem(self):
+        problem, _ = build_instance("racetrack", "ring-3")
+        self.assert_rejects_outside_ids(problem)
+        compile_model(problem)
+        self.assert_rejects_outside_ids(problem)
+
+    def test_tabular_problem(self, chain3):
+        self.assert_rejects_outside_ids(chain3)
+        compile_model(chain3)
+        self.assert_rejects_outside_ids(chain3)
+
+
+class TestCallbackRelease:
+    """compile_model drops the expansion callback once every id has its
+    record, and keeps it while an id that s0 does not reach has none."""
+
+    def test_compiled_numbered_problem_serves_every_record(self):
+        problem, _ = build_instance("racetrack", "ring-3")
+        twin, _ = build_instance("racetrack", "ring-3")
+        compile_model(problem)
+        for s in range(problem.n_states):
+            assert problem.record(s) == twin.record(s), s
+        with pytest.raises(KeyError, match=rf"state {problem.n_states} is outside"):
+            problem.record(problem.n_states)
+
+    def test_compile_releases_the_domain_callback(self):
+        expand, _ = raising_on("g", TestSearchProblem.TRANSITIONS)
+        problem = search_problem("s", expand, lambda state: state == "g")
+        released = weakref.ref(expand)
+        del expand
+        compile_model(problem)
+        assert released() is None
+
+    def test_unreached_id_still_builds_after_compile(self):
+        problem = tabular_problem(
+            transitions={(0, 0): [(1, 1.0)], (2, 0): [(1, 1.0)]},
+            costs={(0, 0): 1.0, (2, 0): 2.0},
+            start=0,
+            goals={1},
+        )
+        assert compile_model(problem).states.tolist() == [0, 1]
+        assert problem.record(2) == ((0,), (2.0,), (((1, 1.0),),))
 
 
 def raising_on(goal, transitions):
@@ -528,6 +615,17 @@ class TestCompileModel:
         assert compile_model(chain3) is model
         assert model.states.tolist() == [0, 1, 2]
 
+    @staticmethod
+    def traced_compile(instance):
+        """(bytes left allocated, peak bytes) of compiling a fresh build."""
+        problem, _ = build_instance(*instance)
+        tracemalloc.start()
+        try:
+            compile_model(problem)
+            return tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+
     @pytest.mark.parametrize(
         "instance,bound_mb",
         [(("racetrack", "zigzag-5"), 10.4), (("ev", EV_FILE), 11.0)],
@@ -538,14 +636,22 @@ class TestCompileModel:
         # the flat arrays. Sharing equal outcome pairs took these from 11.8
         # to 9.0 MB (zigzag-5) and from 13.7 to 8.1 MB (the EV file); each
         # bound sits about midway, so losing the sharing fails it.
-        problem, _ = build_instance(*instance)
-        tracemalloc.start()
-        try:
-            compile_model(problem)
-            retained, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        retained, _ = self.traced_compile(instance)
         assert retained < bound_mb * 1e6
+
+    @pytest.mark.parametrize(
+        "instance,bound_mb",
+        [(("racetrack", "zigzag-5"), 10.5), (("ev", EV_FILE), 9.0)],
+        ids=["zigzag-5", "ev-file"],
+    )
+    def test_peak_bytes_bounded(self, instance, bound_mb):
+        # The most compile_model holds at once. Writing the arrays without
+        # whole-model copies (an outcome list, an outcome-sized pair index,
+        # a second cumulative array) took it from 11.8 to 9.3 MB (zigzag-5)
+        # and from 10.5 to 7.7 MB (the EV file); each bound sits about
+        # midway, so a whole-model temporary coming back fails it.
+        _, peak = self.traced_compile(instance)
+        assert peak < bound_mb * 1e6
 
     def test_reduced_model_compiles_its_own_records(self, risky_fork):
         problem, _ = risky_fork
