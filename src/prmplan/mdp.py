@@ -11,8 +11,8 @@ use, and the `CompiledModel` that `compile_model` flattens, once, from the
 records of the states reachable from s0; its records draw equal outcome
 pairs and equal rows from its tables. The Bellman kernel, LAO* and the model
 walkers read records; value iteration, h_min and the risk walker read the
-compiled model. The per-pair API (`actions`, `cost`, `transition`) is a
-view of the records.
+compiled model, the walker with its own inverse-CDF table. The per-pair API
+(`actions`, `cost`, `transition`) is a view of the records.
 """
 
 from __future__ import annotations
@@ -308,9 +308,7 @@ class CompiledModel(NamedTuple):
     pairs of position i are `first_pair[i]:first_pair[i + 1]`, in record
     order, with their `action` and `cost`. The outcomes of pair j are
     `first_outcome[j]:first_outcome[j + 1]`, with successor positions
-    `succ`, probabilities `prob`, and cumulative probabilities shifted by
-    the pair id in `cum`, so the whole of `cum` is sorted and pair j's last
-    entry is exactly j + 1.
+    `succ` and probabilities `prob`; the walks' inverse-CDF table is risk's.
     """
 
     states: np.ndarray
@@ -320,7 +318,6 @@ class CompiledModel(NamedTuple):
     cost: np.ndarray
     succ: np.ndarray
     prob: np.ndarray
-    cum: np.ndarray
     goal: np.ndarray
 
     def position(self, s: int) -> int:
@@ -328,12 +325,6 @@ class CompiledModel(NamedTuple):
         if i == len(self.states) or self.states[i] != s:
             raise KeyError(f"state {s} is not reachable from s0")
         return i
-
-    def draw(self, pair: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Outcome indices of the given pairs, by inverse CDF at u in [0, 1)."""
-        j = np.searchsorted(self.cum, pair + u, side="right")
-        # pair + u can round up to pair + 1, one past the pair's last outcome.
-        return np.minimum(j, self.first_outcome[pair + 1] - 1)
 
 
 def compile_model(problem: SspProblem) -> CompiledModel:
@@ -362,21 +353,6 @@ def _flatten(problem: SspProblem) -> CompiledModel:
     succ = np.fromiter(map(itemgetter(0), chain.from_iterable(dists)), np.int64, n_outcomes)
     if states[-1] != len(states) - 1:  # else positions are ids
         succ = np.searchsorted(states, succ)
-    # Running sums from 0.0 in outcome order, one outcome rank at a time
-    # over all pairs, then each shifted by its pair id: the additions of a
-    # plain per-pair loop, written in place.
-    cum = prob.copy()
-    n_ranks = int(counts.max())
-    for k in range(1, n_ranks):
-        j = first_outcome[:-1][counts > k]
-        j += k
-        cum[j] += cum[j - 1]
-    for k in range(n_ranks):
-        live = np.flatnonzero(counts > k)
-        j = first_outcome[live]
-        j += k
-        cum[j] += live
-    cum[first_outcome[1:] - 1] = np.arange(1, n_pairs + 1)
     goals = problem.goals
     return CompiledModel(
         states=states,
@@ -386,6 +362,5 @@ def _flatten(problem: SspProblem) -> CompiledModel:
         cost=np.fromiter(chain.from_iterable(r[1] for r in records), np.float64, n_pairs),
         succ=succ,
         prob=prob,
-        cum=cum,
         goal=np.fromiter((s in goals for s in states.tolist()), dtype=bool, count=len(states)),
     )

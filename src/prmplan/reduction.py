@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from operator import is_
 from typing import TYPE_CHECKING
 
-from .mdp import Distribution, SspProblem, StateRecord, make_distribution, reachable_states
+from .mdp import Distribution, SspProblem, StateRecord, make_distribution
 
 if TYPE_CHECKING:
     from .risk import RiskProfile
@@ -66,19 +66,6 @@ class ModelSelector:
 
     def principle(self, s: int, a: int) -> OutcomeSelectionPrinciple:
         raise NotImplementedError
-
-    def summary(self, problem: SspProblem) -> str:
-        """Per-principle assignment counts over all applicable reachable pairs."""
-        counts: dict[str, int] = {}
-        for s in reachable_states(problem):
-            if problem.is_goal(s):
-                continue
-            for a in problem.actions(s):
-                p = self.principle(s, a)
-                label = p.kind if p.kind != "greedy_k" else f"greedy_k({p.k})"
-                counts[label] = counts.get(label, 0) + 1
-        lines = [f"{label} {count}" for label, count in sorted(counts.items())]
-        return "\n".join(lines)
 
 
 class UniformSelector(ModelSelector):

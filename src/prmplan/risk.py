@@ -3,11 +3,10 @@
 Reachability to risky states is estimated per state as the share of
 depth-limited walks, each choosing its action uniformly at random, that
 meet a risky state. A profile advances each state's walks in lockstep over
-the problem's memoized compiled model (pair and outcome offsets, successor
-positions, shifted cumulative probabilities), beside which it keeps only
-its predicate's risky mask and the ids of the risky states. The exact
-enumeration oracle walks the records instead. The resulting profile feeds
-the 0/1 reduced model selector.
+the problem's memoized compiled model and its own inverse-CDF table, which
+it builds when it is made, with its predicate's risky mask and the ids of
+the risky states. The exact enumeration oracle walks the records instead.
+The resulting profile feeds the 0/1 reduced model selector.
 """
 
 from __future__ import annotations
@@ -37,8 +36,32 @@ class RiskPredicate:
         return bool(self.evaluate(s))
 
 
+def _cumulative(model: CompiledModel) -> np.ndarray:
+    """Cumulative outcome probabilities shifted by the pair id: sorted, and
+    pair j's last entry is exactly j + 1."""
+    first_outcome = model.first_outcome
+    counts = np.diff(first_outcome)
+    n_pairs = len(counts)
+    # Running sums from 0.0 in outcome order, one outcome rank at a time
+    # over all pairs, then each shifted by its pair id: the additions of a
+    # plain per-pair loop, written in place.
+    cum = model.prob.copy()
+    n_ranks = int(counts.max())
+    for k in range(1, n_ranks):
+        j = first_outcome[:-1][counts > k]
+        j += k
+        cum[j] += cum[j - 1]
+    for k in range(n_ranks):
+        live = np.flatnonzero(counts > k)
+        j = first_outcome[live]
+        j += k
+        cum[j] += live
+    cum[first_outcome[1:] - 1] = np.arange(1, n_pairs + 1)
+    return cum
+
+
 def _walk_positions(
-    model: CompiledModel, start: int, n: int, depth: int, seed
+    model: CompiledModel, cum: np.ndarray, start: int, n: int, depth: int, seed
 ) -> np.ndarray:
     """(n, depth + 1) model positions of n lockstep walks from position start."""
     if n < 1 or depth < 1:
@@ -50,7 +73,9 @@ def _walk_positions(
         first = model.first_pair[here]
         k = model.first_pair[here + 1] - first
         pair = first + (rng.random(n) * k).astype(np.int64)
-        here = walks[:, t] = model.succ[model.draw(pair, rng.random(n))]
+        j = np.searchsorted(cum, pair + rng.random(n), side="right")
+        # pair + u can round up to pair + 1, one past the pair's last outcome.
+        here = walks[:, t] = model.succ[np.minimum(j, model.first_outcome[pair + 1] - 1)]
     return walks
 
 
@@ -62,20 +87,22 @@ def sample_walks(
     Returns an (n, depth + 1) array of state ids whose first column is
     from_state. The walks advance in lockstep: each step draws one action
     per walk uniformly among the applicable ones, as floor(u * k), and one
-    successor per walk by inverse CDF over the model. Goals absorb.
+    successor per walk by inverse CDF, from a table built per call. Goals
+    absorb.
     """
-    return model.states[_walk_positions(model, model.position(from_state), n, depth, seed)]
+    start = model.position(from_state)
+    return model.states[_walk_positions(model, _cumulative(model), start, n, depth, seed)]
 
 
 @dataclass
 class RiskProfile:
     """Per-state estimates of the probability that a depth-limited walk
-    encounters a risky state. Lazy: reach(s) is sampled on first query with
-    a seed derived from (seed, s), so results are independent of query order.
-    It reads `compile_model(problem)` only for its walks and its risky mask,
-    which the first query fills with the predicate at each state, and the
-    ids of the risky states, `risky_states()`. reach(s) raises KeyError for
-    a state not reachable from s0.
+    encounters a risky state. Making one compiles the problem, calls the
+    predicate once per reachable state for the risky mask and ids
+    (`risky_states()`), and builds the walks' table. Lazy: reach(s) is
+    sampled on first query with a seed derived from (seed, s), so results
+    are independent of query order. reach(s) raises KeyError for a state
+    not reachable from s0.
     """
 
     problem: SspProblem
@@ -84,8 +111,6 @@ class RiskProfile:
     depth: int = 4
     seed: int = 0
     _reach: dict[int, float] = field(default_factory=dict, repr=False)
-    _risky: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _risky_ids: frozenset[int] = field(default=frozenset(), repr=False, compare=False)
 
     def __post_init__(self):
         if self.samples < 1 or self.depth < 1:
@@ -93,30 +118,27 @@ class RiskProfile:
                 f"risk profile needs samples >= 1 and depth >= 1, "
                 f"got {self.samples} and {self.depth}"
             )
-
-    def _model(self) -> tuple[CompiledModel, np.ndarray]:
-        """The compiled base model and the predicate at each of its positions."""
-        model = compile_model(self.problem)
-        if self._risky is None:
-            risky = np.array(list(map(self.predicate, model.states.tolist())), dtype=bool)
-            self._risky_ids = frozenset(model.states[risky].tolist())
-            self._risky = risky  # last: a trial thread that sees the mask sees the ids
-        return model, self._risky
+        model = self._model = compile_model(self.problem)
+        states = model.states
+        self._risky = np.array(list(map(self.predicate, states.tolist())), dtype=bool)
+        self._risky_ids = frozenset(states[self._risky].tolist())
+        self._cum = _cumulative(model)
 
     def risky_states(self) -> frozenset[int]:
         """The ids of the states reachable from s0 where the predicate holds."""
-        self._model()
         return self._risky_ids
 
     def reach(self, s: int) -> float:
         value = self._reach.get(s)
         if value is None:
-            model, risky = self._model()
+            model, risky = self._model, self._risky
             i = model.position(s)
             if risky[i]:
                 value = 1.0
             else:
-                walks = _walk_positions(model, i, self.samples, self.depth, [self.seed, s])
+                walks = _walk_positions(
+                    model, self._cum, i, self.samples, self.depth, [self.seed, s]
+                )
                 value = int(risky[walks].any(axis=1).sum()) / self.samples
             self._reach[s] = value
         return value

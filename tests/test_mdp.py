@@ -36,6 +36,7 @@ from prmplan import (
 )
 from prmplan.cli import _make_selector
 from prmplan.domains import build_instance
+from prmplan.risk import _cumulative
 
 REDUCTIONS = ("mlod", "m02", "rm01")
 # perfbench's ev-risk scenario file, read only.
@@ -553,10 +554,11 @@ class TestReachability:
 
 
 def flatten_reference(problem):
-    """The compiled arrays by a plain loop, one outcome at a time: states
-    sorted, pairs in record order, each pair's cumulative probabilities
-    summed from 0.0 in outcome order and shifted by the pair id, its last
-    entry set to exactly pair + 1, successors as positions in `states`."""
+    """The compiled arrays, and the risk walks' inverse-CDF table as "cum",
+    by a plain loop, one outcome at a time: states sorted, pairs in record
+    order, each pair's cumulative probabilities summed from 0.0 in outcome
+    order and shifted by the pair id, its last entry set to exactly
+    pair + 1, successors as positions in `states`."""
     states = sorted(reachable_states(problem))
     first_pair, first_outcome = array("q", [0]), array("q", [0])
     action, cost, succ, prob, cum = array("q"), array("d"), array("q"), array("d"), array("d")
@@ -596,18 +598,23 @@ class TestCompileModel:
         ids=lambda spec: "-".join(map(str, spec)),
     )
     def test_equals_plain_loop_reference(self, instance):
-        # Same additions in the same order: every array is equal exactly.
+        # Same additions in the same order: every array is equal exactly,
+        # and the risk profile's table byte for byte.
         if instance[0] == "random":
             problem = random_proper_ssp(instance[1])
         else:
             problem, _ = build_instance(*instance)
         model = compile_model(problem)
         expected = flatten_reference(problem)
+        cum = expected.pop("cum")
         assert set(model._fields) == set(expected)
         for field, want in expected.items():
             got = getattr(model, field)
             assert got.dtype == want.dtype, field
             assert np.array_equal(got, want), field
+        got = _cumulative(model)
+        assert got.dtype == cum.dtype
+        assert got.tobytes() == cum.tobytes()
 
     def test_memo_is_one_slot(self, chain3):
         # Every model is compiled from s0 only, once.

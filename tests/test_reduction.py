@@ -224,14 +224,3 @@ class TestZeroOneSelector:
                 )
                 assert selector.principle(s, a) == expected, (s, a)
         assert guarded > 0
-
-    def test_summary_counts_assignments(self, risky_fork):
-        problem, predicate = risky_fork
-        profile = RiskProfile(problem, predicate)
-        profile._reach = {0: 0.0, 1: 0.0, 2: 1.0, 3: 0.0}
-        selector = ZeroOneSelector(profile, 0.25)
-        summary = selector.summary(problem)
-        # (0,0) via the one-step guard and (2,0) via reach(2)=1 keep the
-        # full model; (0,1) and (1,0) determinize.
-        assert "full 2" in summary
-        assert "most_likely 2" in summary

@@ -1,9 +1,11 @@
 """Risk predicates, NSE sets, random-walk sampling, and reachability estimates."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from test_mdp import EV_FILE
 
 from prmplan import (
     FULL_MODEL,
@@ -12,6 +14,7 @@ from prmplan import (
     RiskPredicate,
     RiskProfile,
     UniformSelector,
+    ZeroOneSelector,
     build_reduced_model,
     compile_model,
     exact_risk_reachability,
@@ -20,6 +23,8 @@ from prmplan import (
     sample_walks,
     tabular_problem,
 )
+from prmplan.domains import build_instance
+from prmplan.risk import _walk_positions
 
 
 class TestNseSet:
@@ -65,10 +70,21 @@ DOMAIN_INSTANCES = [("sailing", "8M"), ("racetrack", "zigzag-5"), ("ev", "gen-1"
 
 @pytest.fixture(scope="module", params=DOMAIN_INSTANCES, ids="-".join)
 def domain_table(request):
-    from prmplan.domains import build_instance
-
     problem, predicate = build_instance(*request.param)
     return problem, predicate, compile_model(problem)
+
+
+class FixedDraws:
+    """Stands in for a walk's generator: each random(n) returns the next of
+    the given arrays."""
+
+    def __init__(self, *arrays):
+        self._arrays = iter(arrays)
+
+    def random(self, n):
+        u = next(self._arrays)
+        assert len(u) == n
+        return u
 
 
 def supports(problem, s):
@@ -128,10 +144,12 @@ class TestSampleWalks:
 
 
 class TestPairTable:
-    """The pair table layout of the compiled model that the walks read."""
+    """The pair table layout of the compiled model that the walks read, and
+    the risk profile's inverse-CDF table over it."""
 
     def test_layout_matches_records(self, domain_table):
-        problem, _, table = domain_table
+        problem, predicate, table = domain_table
+        cum = RiskProfile(problem, predicate)._cum
         assert table.states.tolist() == sorted(reachable_states(problem))
         assert table.goal.tolist() == [problem.is_goal(s) for s in table.states.tolist()]
         for i, s in enumerate(table.states.tolist()):
@@ -144,16 +162,17 @@ class TestPairTable:
                 lo, hi = table.first_outcome[pair], table.first_outcome[pair + 1]
                 assert table.states[table.succ[lo:hi]].tolist() == [s2 for s2, _ in dist]
                 assert table.prob[lo:hi].tolist() == [p for _, p in dist]
-                probs = np.diff(np.concatenate(([pair], table.cum[lo:hi])))
+                probs = np.diff(np.concatenate(([pair], cum[lo:hi])))
                 assert probs == pytest.approx([p for _, p in dist], abs=1e-9)
 
     def test_last_cumulative_entry_is_pair_plus_one(self, domain_table):
-        _, _, table = domain_table
+        problem, predicate, table = domain_table
+        cum = RiskProfile(problem, predicate)._cum
         n_pairs = len(table.first_outcome) - 1
         assert n_pairs == table.first_pair[-1]
-        last = table.cum[table.first_outcome[1:] - 1]
+        last = cum[table.first_outcome[1:] - 1]
         assert np.array_equal(last, np.arange(1, n_pairs + 1, dtype=float))
-        assert (np.diff(table.cum) >= 0).all()
+        assert (np.diff(cum) >= 0).all()
 
     def test_dead_end_raises(self):
         # State 1 is neither a goal nor has an action: a walk could not leave it.
@@ -163,14 +182,23 @@ class TestPairTable:
         with pytest.raises(ModelError, match="state 1 is not a goal and has no applicable action"):
             compile_model(problem)
 
-    def test_every_draw_lands_in_its_pair(self, domain_table):
-        _, _, table = domain_table
+    def test_every_draw_lands_in_its_pair(self, domain_table, monkeypatch):
+        # One walk step per pair, read as outcome indices: walk i starts at
+        # pair i's state and picks pair i, then draws at u[i], over a model
+        # whose outcome j leads to position j.
+        problem, predicate, table = domain_table
+        cum = RiskProfile(problem, predicate)._cum
         n_pairs = len(table.first_outcome) - 1
         pairs = np.arange(n_pairs)
+        n_acts = np.diff(table.first_pair)
+        start = np.repeat(np.arange(len(table.states)), n_acts)
+        pick = (pairs - table.first_pair[start] + 0.5) / n_acts[start]
+        by_outcome = table._replace(succ=np.arange(len(table.succ)))
         below_one = np.nextafter(1.0, 0.0)
         rng = np.random.default_rng(0)
+        monkeypatch.setattr(np.random, "default_rng", lambda draws: draws)
         for u in (np.zeros(n_pairs), np.full(n_pairs, below_one), rng.random(n_pairs)):
-            j = table.draw(pairs, u)
+            j = _walk_positions(by_outcome, cum, start, n_pairs, 1, FixedDraws(pick, u))[:, 1]
             assert (table.first_outcome[:-1] <= j).all()
             assert (j < table.first_outcome[1:]).all()
 
@@ -179,9 +207,42 @@ class TestRiskProfile:
     def test_risky_mask_matches_predicate(self, domain_table):
         problem, predicate, table = domain_table
         profile = RiskProfile(problem, predicate)
-        model, risky = profile._model()
+        model, risky = profile._model, profile._risky
         assert model is table
         assert risky.tolist() == [predicate(s) for s in table.states.tolist()]
+
+    @pytest.mark.parametrize(
+        "instance", [("racetrack", "zigzag-5"), ("ev", EV_FILE)], ids=["zigzag-5", "ev-file"]
+    )
+    def test_predicate_judges_each_state_once_when_made(self, instance):
+        # Making the profile calls the predicate once per state reachable
+        # from s0; its walks, its risky ids and rm01's guard read what it kept.
+        problem, predicate = build_instance(*instance)
+        calls = Counter()
+
+        def counted(s):
+            calls[s] += 1
+            return predicate(s)
+
+        profile = RiskProfile(problem, RiskPredicate(counted), seed=0)
+        once = Counter(reachable_states(problem))
+        assert calls == once
+        selector = ZeroOneSelector(profile, 0.25)
+        for s in compile_model(problem).states[::7].tolist():
+            profile.reach(s)
+            for a in problem.actions(s):
+                selector.principle(s, a)
+        profile.risky_states()
+        assert calls == once
+
+    def test_reach_is_the_hit_share_of_sample_walks(self, domain_table):
+        # The profile's walks and sample_walks draw from the same table.
+        problem, predicate, table = domain_table
+        profile = RiskProfile(problem, predicate, samples=30, depth=4, seed=3)
+        risky = np.array(sorted(profile.risky_states()), dtype=np.int64)
+        for s in table.states[::7].tolist():
+            walks = sample_walks(compile_model(problem), s, 30, 4, [3, s])
+            assert profile.reach(s) == int(np.isin(walks, risky).any(axis=1).sum()) / 30, s
 
     def test_risky_state_shortcut(self, risky_fork):
         problem, predicate = risky_fork
