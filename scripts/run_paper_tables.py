@@ -14,7 +14,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from prmplan import SimConfig, run_experiment  # noqa: E402
+from prmplan import run_experiment  # noqa: E402
 from prmplan.cli import (  # noqa: E402
     RM01_DEFAULTS,
     _align_columns,
@@ -27,17 +27,10 @@ from prmplan.domains import desk_instances, large_instances  # noqa: E402
 MODELS = ("full", "mlod", "m02", "rm01")
 
 
-def evaluate(name, problem, predicate, model_names, trials, seed, jobs):
+def evaluate(name, problem, predicate, model_names, trials, seed):
     args = argparse.Namespace(seed=seed, **RM01_DEFAULTS)
     models = [(n, _make_selector(n, problem, predicate, args)) for n in model_names]
-    report = run_experiment(
-        problem,
-        models,
-        predicate,
-        trials=trials,
-        seed=seed,
-        config=SimConfig(jobs=jobs),
-    )
+    report = run_experiment(problem, models, predicate, trials=trials, seed=seed)
     return [{"instance": name, "states": problem.n_states, **row} for row in report.rows()]
 
 
@@ -56,7 +49,6 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--trials", type=_at_least_one, default=100)
     parser.add_argument("--seed", type=_non_negative, default=0)
-    parser.add_argument("--jobs", type=_at_least_one, default=1)
     parser.add_argument(
         "--skip-large",
         action="store_true",
@@ -68,14 +60,12 @@ def main(argv=None):
     all_rows = []
     for name, problem, predicate in desk_instances():
         print(f"running {name} ({problem.n_states} states)...", flush=True)
-        all_rows += evaluate(
-            name, problem, predicate, MODELS, args.trials, args.seed, args.jobs
-        )
+        all_rows += evaluate(name, problem, predicate, MODELS, args.trials, args.seed)
     if not args.skip_large:
         for name, problem, predicate in large_instances():
             print(f"running {name} ({problem.n_states} states)...", flush=True)
             all_rows += evaluate(
-                name, problem, predicate, ("full", "rm01"), args.trials, args.seed, args.jobs
+                name, problem, predicate, ("full", "rm01"), args.trials, args.seed
             )
 
     for title, field in (

@@ -29,7 +29,6 @@ from .risk import (
     RiskProfile,
     exact_risk_reachability,
     nse_set,
-    sample_walks,
 )
 from .simulator import (
     ExperimentReport,

@@ -24,11 +24,7 @@ def _angular_diff(a: int, b: int) -> int:
     return min(d, 8 - d)
 
 
-def build_sailing(
-    size: int,
-    goal_pos: str = "corner",
-    name: str = "",
-) -> tuple[SspProblem, RiskPredicate]:
+def build_sailing(size: int, goal_pos: str = "corner") -> tuple[SspProblem, RiskPredicate]:
     """Sailing SSP on a size x size grid with the goal at the opposite
     corner ("corner") or the center ("middle"). `expand(state)` is the one
     place that states applicability and wind; `search_problem` numbers
@@ -42,7 +38,7 @@ def build_sailing(
         goal_xy = (size // 2, size // 2)
     else:
         raise ValueError(f"goal_pos must be 'corner' or 'middle', got {goal_pos!r}")
-    name = name or f"sailing-{size}({goal_pos[0].upper()})"
+    name = f"sailing-{size}({goal_pos[0].upper()})"
 
     def on_grid(x: int, y: int) -> bool:
         return 0 <= x < size and 0 <= y < size

@@ -63,9 +63,8 @@ def _cumulative(model: CompiledModel) -> np.ndarray:
 def _walk_positions(
     model: CompiledModel, cum: np.ndarray, start: int, n: int, depth: int, seed
 ) -> np.ndarray:
-    """(n, depth + 1) model positions of n lockstep walks from position start."""
-    if n < 1 or depth < 1:
-        raise ValueError("sample_walks needs n >= 1 and depth >= 1")
+    """(n, depth + 1) model positions of n lockstep walks from position start:
+    each step picks an action as floor(u * k) and a successor by inverse CDF."""
     rng = np.random.default_rng(seed)
     walks = np.empty((n, depth + 1), dtype=np.int64)
     here = walks[:, 0] = start
@@ -77,21 +76,6 @@ def _walk_positions(
         # pair + u can round up to pair + 1, one past the pair's last outcome.
         here = walks[:, t] = model.succ[np.minimum(j, model.first_outcome[pair + 1] - 1)]
     return walks
-
-
-def sample_walks(
-    model: CompiledModel, from_state: int, n: int, depth: int, seed
-) -> np.ndarray:
-    """n depth-limited random walks from one state, fully seed-determined.
-
-    Returns an (n, depth + 1) array of state ids whose first column is
-    from_state. The walks advance in lockstep: each step draws one action
-    per walk uniformly among the applicable ones, as floor(u * k), and one
-    successor per walk by inverse CDF, from a table built per call. Goals
-    absorb.
-    """
-    start = model.position(from_state)
-    return model.states[_walk_positions(model, _cumulative(model), start, n, depth, seed)]
 
 
 @dataclass

@@ -127,7 +127,6 @@ def run_trial(
     seed: int = 0,
     initial: Solution | None = None,
     heuristic: Callable[[int], float] | None = None,
-    step_cap: int | None = None,
 ) -> TrialStats:
     """One planning-and-execution trial of the reduced model on the base.
 
@@ -140,11 +139,11 @@ def run_trial(
     `initial.solved` (which it only reads) and joined by each replan's
     labels, so a replan stops at states that the initial plan or an earlier
     replan has already solved.
-    The trial stops after `step_cap` steps, by default 10 x base.n_states.
+    The trial stops after 10 x base.n_states steps.
     """
     config = config or SimConfig()
     solver_cfg = config.solver_config(heuristic)
-    cap = step_cap if step_cap is not None else 10 * base.n_states
+    cap = 10 * base.n_states
     rng = np.random.default_rng(seed)
     stats = TrialStats(seed=seed)
 

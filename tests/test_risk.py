@@ -1,4 +1,4 @@
-"""Risk predicates, NSE sets, random-walk sampling, and reachability estimates."""
+"""Risk predicates, NSE sets, the random walker, and reachability estimates."""
 
 import math
 from collections import Counter
@@ -20,7 +20,6 @@ from prmplan import (
     exact_risk_reachability,
     nse_set,
     reachable_states,
-    sample_walks,
     tabular_problem,
 )
 from prmplan.domains import build_instance
@@ -71,7 +70,13 @@ DOMAIN_INSTANCES = [("sailing", "8M"), ("racetrack", "zigzag-5"), ("ev", "gen-1"
 @pytest.fixture(scope="module", params=DOMAIN_INSTANCES, ids="-".join)
 def domain_table(request):
     problem, predicate = build_instance(*request.param)
-    return problem, predicate, compile_model(problem)
+    return problem, predicate, RiskProfile(problem, predicate, seed=3)
+
+
+def walks_from(profile, s, n, depth, seed):
+    """State ids of n walks from state s over the profile's model and table."""
+    model = profile._model
+    return model.states[_walk_positions(model, profile._cum, model.position(s), n, depth, seed)]
 
 
 class FixedDraws:
@@ -93,49 +98,43 @@ def supports(problem, s):
 
 
 class TestSampleWalks:
+    """The walker that `RiskProfile.reach` samples with, over a profile's
+    model and table."""
+
     def test_depth_one_transitions(self, self_loop):
-        walks = sample_walks(compile_model(self_loop), 0, n=50, depth=1, seed=1)
+        walks = walks_from(RiskProfile(self_loop, NO_RISK), 0, n=50, depth=1, seed=1)
         assert walks.shape == (50, 2)
         assert (walks[:, 0] == 0).all()
         assert set(walks[:, 1].tolist()) <= {0, 1}
 
     def test_deterministic_chain_identical(self, chain3):
-        walks = sample_walks(compile_model(chain3), 0, n=10, depth=5, seed=3)
+        walks = walks_from(RiskProfile(chain3, NO_RISK), 0, n=10, depth=5, seed=3)
         assert walks.tolist() == [[0, 1, 2, 2, 2, 2]] * 10
 
     def test_goal_absorbs(self, chain3):
-        walks = sample_walks(compile_model(chain3), 2, n=5, depth=9, seed=0)
+        walks = walks_from(RiskProfile(chain3, NO_RISK), 2, n=5, depth=9, seed=0)
         assert walks.tolist() == [[2] * 10] * 5
 
     def test_seed_determinism(self, self_loop):
-        table = compile_model(self_loop)
-        a = sample_walks(table, 0, n=100, depth=4, seed=7)
-        b = sample_walks(table, 0, n=100, depth=4, seed=7)
-        c = sample_walks(table, 0, n=100, depth=4, seed=8)
+        profile = RiskProfile(self_loop, NO_RISK)
+        a = walks_from(profile, 0, n=100, depth=4, seed=7)
+        b = walks_from(profile, 0, n=100, depth=4, seed=7)
+        c = walks_from(profile, 0, n=100, depth=4, seed=8)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
     def test_binomial_concentration(self, self_loop):
-        walks = sample_walks(compile_model(self_loop), 0, n=10_000, depth=1, seed=0)
+        walks = walks_from(RiskProfile(self_loop, NO_RISK), 0, n=10_000, depth=1, seed=0)
         frac = float((walks[:, -1] == 1).mean())
         assert frac == pytest.approx(0.5, abs=0.02)
-
-    def test_argument_validation(self, chain3):
-        table = compile_model(chain3)
-        with pytest.raises(ValueError):
-            sample_walks(table, 0, n=0, depth=1, seed=0)
-        with pytest.raises(ValueError):
-            sample_walks(table, 0, n=1, depth=0, seed=0)
-        with pytest.raises(KeyError, match="state 7"):
-            sample_walks(table, 7, n=1, depth=1, seed=0)
 
     def test_steps_follow_positive_outcomes(self, domain_table):
         # Every step leaves a state through a positive-probability outcome
         # of one of its applicable actions (a goal through its self-loop).
-        problem, _, table = domain_table
+        problem, _, profile = domain_table
         steps = set()
-        for s in table.states[::7].tolist():
-            walks = sample_walks(table, s, n=20, depth=4, seed=[5, s])
+        for s in profile._model.states[::7].tolist():
+            walks = walks_from(profile, s, n=20, depth=4, seed=[5, s])
             pairs = np.stack([walks[:, :-1].ravel(), walks[:, 1:].ravel()], axis=1)
             steps.update(map(tuple, np.unique(pairs, axis=0).tolist()))
         assert steps
@@ -148,8 +147,8 @@ class TestPairTable:
     the risk profile's inverse-CDF table over it."""
 
     def test_layout_matches_records(self, domain_table):
-        problem, predicate, table = domain_table
-        cum = RiskProfile(problem, predicate)._cum
+        problem, _, profile = domain_table
+        table, cum = profile._model, profile._cum
         assert table.states.tolist() == sorted(reachable_states(problem))
         assert table.goal.tolist() == [problem.is_goal(s) for s in table.states.tolist()]
         for i, s in enumerate(table.states.tolist()):
@@ -166,8 +165,8 @@ class TestPairTable:
                 assert probs == pytest.approx([p for _, p in dist], abs=1e-9)
 
     def test_last_cumulative_entry_is_pair_plus_one(self, domain_table):
-        problem, predicate, table = domain_table
-        cum = RiskProfile(problem, predicate)._cum
+        _, _, profile = domain_table
+        table, cum = profile._model, profile._cum
         n_pairs = len(table.first_outcome) - 1
         assert n_pairs == table.first_pair[-1]
         last = cum[table.first_outcome[1:] - 1]
@@ -186,8 +185,8 @@ class TestPairTable:
         # One walk step per pair, read as outcome indices: walk i starts at
         # pair i's state and picks pair i, then draws at u[i], over a model
         # whose outcome j leads to position j.
-        problem, predicate, table = domain_table
-        cum = RiskProfile(problem, predicate)._cum
+        _, _, profile = domain_table
+        table, cum = profile._model, profile._cum
         n_pairs = len(table.first_outcome) - 1
         pairs = np.arange(n_pairs)
         n_acts = np.diff(table.first_pair)
@@ -205,11 +204,10 @@ class TestPairTable:
 
 class TestRiskProfile:
     def test_risky_mask_matches_predicate(self, domain_table):
-        problem, predicate, table = domain_table
-        profile = RiskProfile(problem, predicate)
+        problem, predicate, profile = domain_table
         model, risky = profile._model, profile._risky
-        assert model is table
-        assert risky.tolist() == [predicate(s) for s in table.states.tolist()]
+        assert model is compile_model(problem)
+        assert risky.tolist() == [predicate(s) for s in model.states.tolist()]
 
     @pytest.mark.parametrize(
         "instance", [("racetrack", "zigzag-5"), ("ev", EV_FILE)], ids=["zigzag-5", "ev-file"]
@@ -236,13 +234,14 @@ class TestRiskProfile:
         assert calls == once
 
     def test_reach_is_the_hit_share_of_sample_walks(self, domain_table):
-        # The profile's walks and sample_walks draw from the same table.
-        problem, predicate, table = domain_table
-        profile = RiskProfile(problem, predicate, samples=30, depth=4, seed=3)
+        # reach(s) is the share of the walks seeded [seed, s] that meet a
+        # risky id.
+        _, _, profile = domain_table
+        n = profile.samples
         risky = np.array(sorted(profile.risky_states()), dtype=np.int64)
-        for s in table.states[::7].tolist():
-            walks = sample_walks(compile_model(problem), s, 30, 4, [3, s])
-            assert profile.reach(s) == int(np.isin(walks, risky).any(axis=1).sum()) / 30, s
+        for s in profile._model.states[::7].tolist():
+            walks = walks_from(profile, s, n, profile.depth, [profile.seed, s])
+            assert profile.reach(s) == int(np.isin(walks, risky).any(axis=1).sum()) / n, s
 
     def test_risky_state_shortcut(self, risky_fork):
         problem, predicate = risky_fork

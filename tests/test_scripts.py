@@ -33,7 +33,7 @@ def test_desk_tables_smoke(tmp_path):
     assert all(r["goal_trials"] == "1" for r in rows)
 
 
-@pytest.mark.parametrize("flag,value", [("--trials", "0"), ("--seed", "-1"), ("--jobs", "0")])
+@pytest.mark.parametrize("flag,value", [("--trials", "0"), ("--seed", "-1")])
 def test_bad_counts_exit_2(flag, value):
     result = run_script(flag, value, "--skip-large")
     assert result.returncode == 2
@@ -53,7 +53,7 @@ def test_rm01_uses_the_cli_defaults(monkeypatch, risky_fork):
 
     monkeypatch.setattr(script, "run_experiment", fake_run_experiment)
     problem, predicate = risky_fork
-    script.evaluate("fork", problem, predicate, ("rm01",), trials=1, seed=5, jobs=1)
+    script.evaluate("fork", problem, predicate, ("rm01",), trials=1, seed=5)
     selector = seen["rm01"]
     args = build_parser().parse_args(
         ["experiment", "--domain", "racetrack", "--instance", "ring-3"]

@@ -3,6 +3,7 @@
 import math
 
 import pytest
+import test_solvers
 from conftest import SelectorError, TableSelector
 
 from prmplan import (
@@ -93,14 +94,15 @@ class TestRunTrial:
                 assert stats.replans == stats.nse_hits
         assert hit_risky
 
-    def test_step_cap_flags_unreached_goal(self, self_loop):
+    def test_step_cap_flags_unreached_goal(self):
+        # No goal is reachable, so the trial runs to its cap of
+        # 10 x n_states steps.
+        problem = test_solvers.TestLaoStar.improper_problem()
         predicate = RiskPredicate(evaluate=lambda s: False)
-        reduced = build_reduced_model(self_loop, UniformSelector(FULL_MODEL))
-        stats = run_trial(
-            self_loop, reduced, predicate, seed=1, step_cap=0
-        )
+        reduced = build_reduced_model(problem, UniformSelector(FULL_MODEL))
+        stats = run_trial(problem, reduced, predicate, seed=1)
         assert not stats.reached_goal
-        assert stats.steps == 0
+        assert stats.steps == 30
 
     def test_replans_leave_initial_values_unchanged(self):
         # M02 drops s0's least likely outcome, state 4: a trial that lands
