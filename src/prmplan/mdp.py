@@ -306,15 +306,15 @@ class CompiledModel(NamedTuple):
 
     Positions index `states` (sorted ids); `goal` marks the goals. The
     pairs of position i are `first_pair[i]:first_pair[i + 1]`, in record
-    order, with their `action` and `cost`. The outcomes of pair j are
-    `first_outcome[j]:first_outcome[j + 1]`, with successor positions
-    `succ` and probabilities `prob`; the walks' inverse-CDF table is risk's.
+    order, with their `cost` only; their action ids stay in the records.
+    The outcomes of pair j are `first_outcome[j]:first_outcome[j + 1]`, with
+    successor positions `succ` and probabilities `prob`; the walks'
+    inverse-CDF table is risk's.
     """
 
     states: np.ndarray
     first_pair: np.ndarray
     first_outcome: np.ndarray
-    action: np.ndarray
     cost: np.ndarray
     succ: np.ndarray
     prob: np.ndarray
@@ -358,7 +358,6 @@ def _flatten(problem: SspProblem) -> CompiledModel:
         states=states,
         first_pair=np.concatenate(([0], np.cumsum(n_acts))),
         first_outcome=first_outcome,
-        action=np.fromiter(chain.from_iterable(r[0] for r in records), np.int64, n_pairs),
         cost=np.fromiter(chain.from_iterable(r[1] for r in records), np.float64, n_pairs),
         succ=succ,
         prob=prob,

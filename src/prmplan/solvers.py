@@ -6,8 +6,9 @@ and outcomes, LAO* through the Bellman kernel. LAO* plans every reduced
 model, determinized ones included, and runs as ILAO*: each iteration is
 one depth-first pass over the greedy envelope that expands the tips it
 meets and backs its states up in postorder. Value iteration shares no
-code with it, so it stays an independent oracle. `SolverConfig.max_iterations`
-bounds VI's sweeps and LAO*'s passes. Value iteration, the oracle, raises
+code with it, so it stays an independent oracle, and a value oracle only:
+every caller reads V*(s0), so its policy is empty. `SolverConfig.max_iterations`
+bounds VI's sweeps and LAO*'s passes. Value iteration raises
 NonconvergenceError when it does not converge; LAO* returns its best greedy
 policy with `Solution.converged` false, which the executor acts on like any
 other.
@@ -60,7 +61,8 @@ class Solution:
     `converged` is false only for a LAO* solve that stalled or ran out of
     passes. `solved` is the set of states labelled by a converged LAO*
     solve: its final pass's postorder, which is exactly the policy's
-    states. It is empty for a stalled LAO* solve and for VI."""
+    states. It is empty for a stalled LAO* solve. VI fills only `values`,
+    `expanded_states` and `solve_time`; its policy and labels are empty."""
 
     policy: Policy
     values: dict[int, float]
@@ -76,11 +78,6 @@ class Solution:
         return self.values[self.start]
 
 
-def _owners(model: CompiledModel) -> np.ndarray:
-    """The position of the state each pair belongs to."""
-    return np.repeat(np.arange(len(model.states)), np.diff(model.first_pair))
-
-
 def _outcome_pairs(model: CompiledModel) -> np.ndarray:
     """The pair each outcome belongs to."""
     return np.repeat(np.arange(len(model.cost)), np.diff(model.first_outcome))
@@ -92,9 +89,9 @@ def solve_value_iteration(problem: SspProblem, config: SolverConfig | None = Non
     The desk-scale oracle: Jacobi sweeps over the compiled model until the
     sup-norm residual drops below epsilon. A sweep computes every pair's
     Q-value as its cost plus its expected successor value, takes each
-    state's minimum over its pairs and pins goals to 0. The policy takes
-    the lowest action among the minimal pairs. Sweeps reuse one outcome-sized
-    buffer. Raises NonconvergenceError after `config.max_iterations` sweeps.
+    state's minimum over its pairs and pins goals to 0. Sweeps reuse one
+    outcome-sized buffer. Returns the values with an empty policy. Raises
+    NonconvergenceError after `config.max_iterations` sweeps.
     """
     config = config or SolverConfig()
     t0 = time.perf_counter()
@@ -124,16 +121,8 @@ def solve_value_iteration(problem: SspProblem, config: SolverConfig | None = Non
             f"value iteration did not converge in {config.max_iterations} sweeps"
         )
 
-    # Each state's policy action is that of its first minimal pair.
-    minimal = q == np.minimum.reduceat(q, first)[_owners(model)]
-    best = np.minimum.reduceat(np.where(minimal, np.arange(len(q)), len(q)), first)
-    states = model.states.tolist()
-    values = dict(zip(states, v.tolist()))
-    actions = model.action[best].tolist()
-    policy: Policy = {
-        s: a for s, a, goal in zip(states, actions, model.goal.tolist()) if not goal
-    }
-    return Solution(policy, values, n, time.perf_counter() - t0, problem.start)
+    values = dict(zip(model.states.tolist(), v.tolist()))
+    return Solution({}, values, n, time.perf_counter() - t0, problem.start)
 
 
 def compute_hmin(

@@ -125,13 +125,18 @@ class TestSolve:
         fields = dict(line.split(None, 1) for line in capsys.readouterr().out.splitlines())
         assert fields["converged"] == "no"
 
-    def test_oracle_cross_check(self, capsys):
-        code = main(
-            ["solve", "--domain", "sailing", "--instance", "6M", "--oracle"]
-        )
-        captured = capsys.readouterr()
+    @pytest.mark.parametrize("model", ["full", "mlod", "m02", "rm01"])
+    def test_oracle_cross_check(self, capsys, model):
+        # The one CLI path that runs VI on a reduced model: LAO* and VI agree
+        # on V(s0) within 2 * epsilon, and the printed gap says so.
+        epsilon = 1e-3
+        argv = ["solve", "--domain", "sailing", "--instance", "6M", "--model", model]
+        code = main([*argv, "--epsilon", str(epsilon), "--oracle"])
+        out = capsys.readouterr().out
         assert code == 0
-        assert "oracle" in captured.out
+        oracle = next(line for line in out.splitlines() if line.startswith("oracle"))
+        gap = float(oracle.split("|gap|")[1])
+        assert gap <= 2 * epsilon
 
     @pytest.mark.parametrize("command", ["solve", "experiment"])
     def test_goal_walled_off_exits_2(self, tmp_path, capsys, command):

@@ -561,10 +561,9 @@ def flatten_reference(problem):
     pair + 1, successors as positions in `states`."""
     states = sorted(reachable_states(problem))
     first_pair, first_outcome = array("q", [0]), array("q", [0])
-    action, cost, succ, prob, cum = array("q"), array("d"), array("q"), array("d"), array("d")
+    cost, succ, prob, cum = array("d"), array("q"), array("d"), array("d")
     for s in states:
-        acts, costs, dists = problem.record(s)
-        action.extend(acts)
+        _, costs, dists = problem.record(s)
         cost.extend(costs)
         for dist in dists:
             pair = len(first_outcome) - 1
@@ -582,7 +581,6 @@ def flatten_reference(problem):
         "states": states,
         "first_pair": np.frombuffer(first_pair, dtype=np.int64),
         "first_outcome": np.frombuffer(first_outcome, dtype=np.int64),
-        "action": np.frombuffer(action, dtype=np.int64),
         "cost": np.frombuffer(cost, dtype=np.float64),
         "succ": np.searchsorted(states, np.frombuffer(succ, dtype=np.int64)),
         "prob": np.frombuffer(prob, dtype=np.float64),

@@ -152,9 +152,8 @@ class TestPairTable:
         assert table.states.tolist() == sorted(reachable_states(problem))
         assert table.goal.tolist() == [problem.is_goal(s) for s in table.states.tolist()]
         for i, s in enumerate(table.states.tolist()):
-            acts, costs, dists = problem.record(s)
+            _, costs, dists = problem.record(s)
             pairs = range(table.first_pair[i], table.first_pair[i + 1])
-            assert table.action[pairs.start:pairs.stop].tolist() == list(acts)
             assert table.cost[pairs.start:pairs.stop].tolist() == list(costs)
             assert len(pairs) == len(dists)
             for pair, dist in zip(pairs, dists):

@@ -70,30 +70,26 @@ def hmin_reference(problem):
 def vi_reference(problem, epsilon):
     """Jacobi value iteration by plain loops. A sweep sets each non-goal
     V(s) to the min over actions of c + sum(p * V(s')), summed in record
-    order, with goals at 0; it stops once no value moved by epsilon. The
-    policy takes the lowest action among the minimal ones."""
+    order, with goals at 0; it stops once no value moved by epsilon."""
     states = sorted(reachable_states(problem))
     v = dict.fromkeys(states, 0.0)
     while True:
         new = {}
-        policy = {}
         for s in states:
             if problem.is_goal(s):
                 new[s] = 0.0
                 continue
             best = math.inf
-            for a, c, dist in zip(*problem.record(s)):
+            for _, c, dist in zip(*problem.record(s)):
                 total = 0.0
                 for s2, p in dist:
                     total += p * v[s2]
-                if c + total < best:
-                    best = c + total
-                    policy[s] = a
+                best = min(best, c + total)
             new[s] = best
         residual = max(abs(new[s] - v[s]) for s in states)
         v = new
         if residual < epsilon:
-            return v, policy
+            return v
 
 
 class TestValueIteration:
@@ -103,17 +99,16 @@ class TestValueIteration:
         ids=lambda spec: "-".join(map(str, spec)),
     )
     def test_equals_plain_loop_reference(self, instance):
-        # Same sweeps, same summation order: values and policy equal exactly.
+        # Same sweeps, same summation order: values equal exactly.
         from prmplan.domains import build_instance
 
         if instance[0] == "random":
             problem = random_proper_ssp(instance[1])
         else:
             problem, _ = build_instance(*instance)
-        values, policy = vi_reference(problem, EPS)
+        values = vi_reference(problem, EPS)
         solution = solve_value_iteration(problem, SolverConfig(epsilon=EPS))
         assert {s: solution.values[s] for s in values} == values
-        assert solution.policy == policy
 
     def test_deterministic_chain(self, chain3):
         solution = solve_value_iteration(chain3)
@@ -127,10 +122,6 @@ class TestValueIteration:
     def test_goal_value_zero(self, chain3):
         solution = solve_value_iteration(chain3)
         assert solution.values[2] == 0.0
-
-    def test_policy_covers_non_goal_states(self, chain3):
-        solution = solve_value_iteration(chain3)
-        assert set(solution.policy) == {0, 1}
 
     def test_improper_model_raises_nonconvergence(self):
         # The oracle fails loudly: with no goal reachable, its values grow
