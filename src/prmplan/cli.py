@@ -25,7 +25,13 @@ from .reduction import (
 )
 from .risk import RiskProfile
 from .simulator import SimConfig, run_experiment
-from .solvers import SolverConfig, proper_hmin, solve_lao_star, solve_value_iteration
+from .solvers import (
+    NonconvergenceError,
+    SolverConfig,
+    proper_hmin,
+    solve_lao_star,
+    solve_value_iteration,
+)
 
 MODEL_NAMES = ("full", "mlod", "m02", "rm01")
 
@@ -191,6 +197,7 @@ def cmd_solve(args) -> int:
     print(f"backups    {solution.backups}")
     print(f"solve_time {solution.solve_time:.3f}s")
     if args.oracle:
+        proper_hmin(reduced)  # VI would sweep an improper reduction to its budget
         oracle = solve_value_iteration(reduced, SolverConfig(epsilon=args.epsilon))
         gap = abs(solution.start_value - oracle.start_value)
         print(f"oracle     VI V(s0) {oracle.start_value:.6f}  |gap| {gap:.2e}")
@@ -319,6 +326,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return 2
+    except NonconvergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -11,8 +11,10 @@ use, and the `CompiledModel` that `compile_model` flattens, once, from the
 records of the states reachable from s0; its records draw equal outcome
 pairs and equal rows from its tables. The Bellman kernel, LAO* and the model
 walkers read records; value iteration, h_min and the risk walker read the
-compiled model, the walker with its own inverse-CDF table. The per-pair API
-(`actions`, `cost`, `transition`) is a view of the records.
+compiled model, the walker with its own inverse-CDF table. A goal's
+self-loop is the one statement of its dynamics: the compiled model marks no
+goal, and a walk over records or arrays stays on a goal by that loop. The
+per-pair API (`actions`, `transition`) is a view of the records.
 """
 
 from __future__ import annotations
@@ -81,8 +83,8 @@ class SspProblem:
     SSP needs. `record(s)` holds those actions in id order, their costs and
     their validated distributions, memoized per state; building it is where
     the model is checked; an id outside 0..n_states-1 raises KeyError. A
-    goal's record is one zero-cost self-loop on action 0. `actions`, `cost`
-    and `transition` read it. `compile_model` memoizes its flat arrays beside
+    goal's record is one zero-cost self-loop on action 0. `actions` and
+    `transition` read it. `compile_model` memoizes its flat arrays beside
     the records, then drops `expand_fn` if every id has its record. Equal
     (int, float) outcome pairs, and equal action or cost rows of the same
     element types, are one object per problem.
@@ -153,19 +155,12 @@ class SspProblem:
     def actions(self, s: int) -> tuple[int, ...]:
         return self.record(s)[0]
 
-    def cost(self, s: int, a: int) -> float:
-        return self._pair(s, a)[0]
-
     def transition(self, s: int, a: int) -> Distribution:
-        return self._pair(s, a)[1]
-
-    def _pair(self, s: int, a: int) -> tuple[float, Distribution]:
-        acts, costs, dists = self.record(s)
+        acts, _, dists = self.record(s)
         try:
-            i = acts.index(a)
+            return dists[acts.index(a)]
         except ValueError:
             raise ModelError(f"action {a} not applicable in state {s}") from None
-        return costs[i], dists[i]
 
 
 def tabular_problem(
@@ -283,14 +278,13 @@ def bellman_backup(
 
 
 def reachable_states(problem: SspProblem) -> list[int]:
-    """All states reachable from s0, in BFS order."""
+    """All states reachable from s0, in BFS order. A goal's only successor
+    is itself."""
     seen = {problem.start}
     order = [problem.start]
     queue = deque(order)
     while queue:
         s = queue.popleft()
-        if problem.is_goal(s):
-            continue
         for dist in problem.record(s)[2]:
             for s2, _ in dist:
                 if s2 not in seen:
@@ -304,12 +298,13 @@ class CompiledModel(NamedTuple):
     """The records of every state reachable from s0, goals included, in flat
     arrays.
 
-    Positions index `states` (sorted ids); `goal` marks the goals. The
-    pairs of position i are `first_pair[i]:first_pair[i + 1]`, in record
-    order, with their `cost` only; their action ids stay in the records.
+    Positions index `states` (sorted ids). The pairs of position i are
+    `first_pair[i]:first_pair[i + 1]`, in record order, with their `cost`
+    only; their action ids stay in the records.
     The outcomes of pair j are `first_outcome[j]:first_outcome[j + 1]`, with
     successor positions `succ` and probabilities `prob`; the walks'
-    inverse-CDF table is risk's.
+    inverse-CDF table is risk's. A goal's one pair is its zero-cost
+    self-loop, as in its record.
     """
 
     states: np.ndarray
@@ -318,7 +313,6 @@ class CompiledModel(NamedTuple):
     cost: np.ndarray
     succ: np.ndarray
     prob: np.ndarray
-    goal: np.ndarray
 
     def position(self, s: int) -> int:
         i = int(np.searchsorted(self.states, s))
@@ -353,7 +347,6 @@ def _flatten(problem: SspProblem) -> CompiledModel:
     succ = np.fromiter(map(itemgetter(0), chain.from_iterable(dists)), np.int64, n_outcomes)
     if states[-1] != len(states) - 1:  # else positions are ids
         succ = np.searchsorted(states, succ)
-    goals = problem.goals
     return CompiledModel(
         states=states,
         first_pair=np.concatenate(([0], np.cumsum(n_acts))),
@@ -361,5 +354,4 @@ def _flatten(problem: SspProblem) -> CompiledModel:
         cost=np.fromiter(chain.from_iterable(r[1] for r in records), np.float64, n_pairs),
         succ=succ,
         prob=prob,
-        goal=np.fromiter((s in goals for s in states.tolist()), dtype=bool, count=len(states)),
     )

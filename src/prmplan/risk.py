@@ -166,8 +166,6 @@ def nse_set(
     has T(s,a,s') > 0, D(s') true, and s' dropped from the reduced support."""
     result: set[int] = set()
     for s in reachable_states(base):
-        if base.is_goal(s):
-            continue
         for full, cut in zip(base.record(s)[2], reduced.record(s)[2]):
             kept = {s2 for s2, _ in cut}
             for s2, _ in full:

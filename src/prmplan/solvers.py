@@ -2,16 +2,17 @@
 
 Every solver reads the problem's per-state records: value iteration and
 h_min through its memoized compiled model, as flat numpy arrays of pairs
-and outcomes, LAO* through the Bellman kernel. LAO* plans every reduced
-model, determinized ones included, and runs as ILAO*: each iteration is
-one depth-first pass over the greedy envelope that expands the tips it
-meets and backs its states up in postorder. Value iteration shares no
-code with it, so it stays an independent oracle, and a value oracle only:
-every caller reads V*(s0), so its policy is empty. `SolverConfig.max_iterations`
-bounds VI's sweeps and LAO*'s passes. Value iteration raises
-NonconvergenceError when it does not converge; LAO* returns its best greedy
-policy with `Solution.converged` false, which the executor acts on like any
-other.
+and outcomes, LAO* through the Bellman kernel. A goal's record, a zero-cost
+self-loop, keeps it at 0 in value iteration; h_min seeds 0 on the goals,
+and LAO* stops at them. LAO* plans every reduced model, determinized ones
+included, and runs as ILAO*: each iteration is one depth-first pass over
+the greedy envelope that expands the tips it meets and backs its states up
+in postorder. Value iteration shares no code with it, so it stays an
+independent oracle, and a value oracle only: every caller reads V*(s0), so
+its policy is empty. `SolverConfig.max_iterations` bounds VI's sweeps and
+LAO*'s passes. Value iteration raises NonconvergenceError when it does not
+converge; LAO* returns its best greedy policy with `Solution.converged`
+false, which the executor acts on like any other.
 
 LAO* labels states as LRTDP does (Bonet & Geffner 2003): a converged solve
 reports its final pass's postorder as `Solution.solved`, and a later solve
@@ -34,13 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import (
-    CompiledModel,
-    Policy,
-    SspProblem,
-    bellman_backup,
-    compile_model,
-)
+from .mdp import Policy, SspProblem, bellman_backup, compile_model
 
 
 class NonconvergenceError(RuntimeError):
@@ -78,28 +73,24 @@ class Solution:
         return self.values[self.start]
 
 
-def _outcome_pairs(model: CompiledModel) -> np.ndarray:
-    """The pair each outcome belongs to."""
-    return np.repeat(np.arange(len(model.cost)), np.diff(model.first_outcome))
-
-
 def solve_value_iteration(problem: SspProblem, config: SolverConfig | None = None) -> Solution:
     """Full-sweep value iteration over all states reachable from s0.
 
     The desk-scale oracle: Jacobi sweeps over the compiled model until the
     sup-norm residual drops below epsilon. A sweep computes every pair's
-    Q-value as its cost plus its expected successor value, takes each
-    state's minimum over its pairs and pins goals to 0. Sweeps reuse one
-    outcome-sized buffer. Returns the values with an empty policy. Raises
-    NonconvergenceError after `config.max_iterations` sweeps.
+    Q-value as its cost plus its expected successor value and takes each
+    state's minimum over its pairs. A goal stays at 0 by its one pair, the
+    zero-cost self-loop. Sweeps reuse one outcome-sized buffer. Returns the
+    values with an empty policy. Raises NonconvergenceError after
+    `config.max_iterations` sweeps.
     """
     config = config or SolverConfig()
     t0 = time.perf_counter()
     model = compile_model(problem)
     # bincount adds each pair's terms from 0.0 in outcome order, as a plain
     # loop does (np.add.reduceat sums pairwise, so it would not be bit-equal).
-    pair_of = _outcome_pairs(model)
     n_pairs = len(model.cost)
+    pair_of = np.repeat(np.arange(n_pairs), np.diff(model.first_outcome))
     first = model.first_pair[:-1]
     n = len(model.states)
 
@@ -111,7 +102,6 @@ def solve_value_iteration(problem: SspProblem, config: SolverConfig | None = Non
         np.multiply(terms, model.prob, out=terms)
         q = model.cost + np.bincount(pair_of, terms, n_pairs)
         v_new = np.minimum.reduceat(q, first)
-        v_new[model.goal] = 0.0
         residual = float(np.max(np.abs(v_new - v)))
         v = v_new
         if residual < config.epsilon:
@@ -147,7 +137,8 @@ def compute_hmin(
     if start is not None and start != problem.start:
         raise ValueError(f"h_min is computed from s0 = {problem.start}, not from {start}")
     model = compile_model(problem)
-    h = np.where(model.goal, 0.0, np.inf)
+    goals = problem.goals
+    h = np.array([0.0 if s in goals else math.inf for s in model.states.tolist()])
     h_succ = np.empty(len(model.succ))
     while True:
         np.take(h, model.succ, out=h_succ, mode="clip")

@@ -12,6 +12,9 @@ import pytest
 
 from prmplan import cli
 from prmplan.cli import AGGREGATE_FIELDS, TRIAL_FIELDS, main
+from prmplan.mdp import tabular_problem
+from prmplan.risk import RiskPredicate
+from prmplan.solvers import NonconvergenceError
 
 TIMING_TRIAL_COLS = {"plan_ms", "replan_ms"}
 TIMING_AGG_COLS = {"pct_time_savings"}
@@ -137,6 +140,50 @@ class TestSolve:
         oracle = next(line for line in out.splitlines() if line.startswith("oracle"))
         gap = float(oracle.split("|gap|")[1])
         assert gap <= 2 * epsilon
+
+    def test_oracle_on_improper_reduction_exits_2(self, capsys, monkeypatch):
+        # A proper base whose mlod reduction keeps only state 1's self-loop:
+        # state 0 reaches no goal under it, so the oracle is refused before
+        # value iteration sweeps at all.
+        from prmplan import domains
+
+        def improper_mlod(domain, instance, seed=0):
+            problem = tabular_problem(
+                transitions={(0, 0): [(1, 1.0)], (1, 0): [(1, 0.6), (2, 0.4)]},
+                costs={(0, 0): 1.0, (1, 0): 1.0},
+                start=0,
+                goals={2},
+            )
+            return problem, RiskPredicate(lambda s: False)
+
+        def never(*args, **kwargs):
+            raise AssertionError("value iteration ran on an improper reduction")
+
+        monkeypatch.setattr(domains, "build_instance", improper_mlod)
+        monkeypatch.setattr(cli, "solve_value_iteration", never)
+        argv = ["solve", "--domain", "racetrack", "--instance", "x", "--model", "mlod"]
+        assert main([*argv, "--oracle"]) == 2
+        captured = capsys.readouterr()
+        assert "converged  no" in captured.out
+        assert "error: state 0 is reachable from s0 but reaches no goal" in captured.err
+        assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", ["solve", "experiment"])
+    def test_oracle_nonconvergence_is_one_error_line(
+        self, tmp_path, capsys, monkeypatch, command
+    ):
+        from prmplan import simulator
+
+        def budget_spent(*args, **kwargs):
+            raise NonconvergenceError("value iteration did not converge in 7 sweeps")
+
+        for module in (cli, simulator):
+            monkeypatch.setattr(module, "solve_value_iteration", budget_spent)
+        argv = [command, "--domain", "sailing", "--instance", "6M"]
+        extra = ["--oracle"] if command == "solve" else ["--trials", "1", "--out", str(tmp_path)]
+        assert main([*argv, *extra]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: value iteration did not converge in 7 sweeps\n"
 
     @pytest.mark.parametrize("command", ["solve", "experiment"])
     def test_goal_walled_off_exits_2(self, tmp_path, capsys, command):

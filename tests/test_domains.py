@@ -181,9 +181,9 @@ class TestSailingModel:
         s = states.index((2, 2, 0))
         # Wind from direction 0: moving with it costs 1, at 45 degrees 2,
         # at 90 degrees 3, at 135 degrees 4.
-        for a in problem.actions(s):
+        for a, c in zip(*problem.record(s)[:2]):
             diff = min((a - 0) % 8, (0 - a) % 8)
-            assert problem.cost(s, a) == TACK_COST[diff]
+            assert c == TACK_COST[diff]
 
     def test_boundary_offgrid_wind_risky(self):
         problem, predicate = build_sailing(6, "corner")
@@ -222,8 +222,8 @@ class TestEvModel:
         for s in reachable_states(problem):
             if problem.is_goal(s):
                 continue
-            for a in problem.actions(s):
-                assert problem.cost(s, a) > 0.0
+            for c in problem.record(s)[1]:
+                assert c > 0.0
 
     def test_full_charge_never_risky(self, small_ev, ev_scenario):
         problem, predicate = small_ev

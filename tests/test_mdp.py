@@ -44,16 +44,15 @@ EV_FILE = str(Path(__file__).resolve().parents[1] / "perfbench" / "ev-gen-1.json
 
 
 def reference_backup(problem, values, s, heuristic=None):
-    """The Bellman backup by plain loops over the per-pair API: costs
-    first, then outcomes in distribution order, each unseen successor
+    """The Bellman backup by plain loops over the record's costs and the
+    per-pair `transition`: costs first, then outcomes in distribution order, each unseen successor
     filled into `values` with its heuristic value (0.0 without one). The
     first action's Q is taken as is; a later action replaces the best only
     when its Q is lower by more than a relative 1e-12 (any finite Q beats
     an infinite best)."""
-    acts = problem.actions(s)
+    acts, costs, _ = problem.record(s)
     best_q = best_a = None
-    for a in acts:
-        q = problem.cost(s, a)
+    for a, q in zip(acts, costs):
         for s2, p in problem.transition(s, a):
             if s2 not in values:
                 values[s2] = heuristic(s2) if heuristic is not None else 0.0
@@ -282,7 +281,7 @@ class TestStateRecord:
                     expected = expected_record(problem, s, twin)
                     assert problem.record(s) == expected, f"{label}/{name} state {s}"
                     for a, c, dist in zip(*expected):
-                        assert problem.cost(s, a) == c
+                        assert problem.record(s)[1][problem.actions(s).index(a)] == c
                         assert problem.transition(s, a) == dist
 
     def test_actions_in_id_order(self):
@@ -552,6 +551,67 @@ class TestReachability:
         )
         assert reachable_states(problem) == [0, 1]
 
+    def test_equals_bfs_that_skips_goals(self, domain_models):
+        # reachable_states reads a goal's record like any other; its one
+        # successor is itself, so the order is that of a BFS that stops at goals.
+        for label, base, selectors in domain_models:
+            for name, problem in model_variants(base, selectors):
+                order, seen = [problem.start], {problem.start}
+                for s in order:  # order grows while it is walked
+                    if problem.is_goal(s):
+                        continue
+                    for dist in problem.record(s)[2]:
+                        for s2, _ in dist:
+                            if s2 not in seen:
+                                seen.add(s2)
+                                order.append(s2)
+                assert reachable_states(problem) == order, f"{label}/{name}"
+
+
+def assert_goals_are_self_loops(problem):
+    """Each goal position of the compiled model has exactly one pair, of
+    cost 0.0, whose one outcome is the goal itself with probability 1.0."""
+    model = compile_model(problem)
+    positions = [i for i, s in enumerate(model.states.tolist()) if s in problem.goals]
+    assert positions
+    for i in positions:
+        pair = model.first_pair[i]
+        assert model.first_pair[i + 1] == pair + 1
+        assert model.cost[pair] == 0.0
+        lo, hi = model.first_outcome[pair], model.first_outcome[pair + 1]
+        assert model.succ[lo:hi].tolist() == [i]
+        assert model.prob[lo:hi].tolist() == [1.0]
+
+
+class TestGoalSelfLoop:
+    """A goal's self-loop is the only statement of its dynamics: value
+    iteration, reachable_states and nse_set read no goal set, and h_min's
+    sweeps keep its seed of 0 on the goals through the loop alone."""
+
+    def test_tabular(self, chain3, self_loop):
+        for problem in (chain3, self_loop, *map(random_proper_ssp, range(4))):
+            assert_goals_are_self_loops(problem)
+
+    def test_tabular_goal_with_its_own_transitions(self):
+        # Entries given for goal 1 are never read: it stays absorbing at 0.
+        problem = tabular_problem(
+            transitions={(0, 0): [(1, 1.0)], (1, 0): [(2, 1.0)], (1, 1): [(0, 1.0)]},
+            costs={(0, 0): 1.0, (1, 0): 5.0, (1, 1): 2.0},
+            start=0,
+            goals={1},
+        )
+        assert problem.record(1) == ((0,), (0.0,), (((1, 1.0),),))
+        assert reachable_states(problem) == [0, 1]
+        assert_goals_are_self_loops(problem)
+        assert solve_value_iteration(problem).values == {0: 1.0, 1: 0.0}
+        h = compute_hmin(problem)
+        assert (h(0), h(1)) == (1.0, 0.0)
+
+    def test_domain_models_and_reductions(self, domain_models):
+        for label, base, selectors in domain_models:
+            for name, problem in model_variants(base, selectors):
+                assert_goals_are_self_loops(problem)
+
 
 def flatten_reference(problem):
     """The compiled arrays, and the risk walks' inverse-CDF table as "cum",
@@ -585,7 +645,6 @@ def flatten_reference(problem):
         "succ": np.searchsorted(states, np.frombuffer(succ, dtype=np.int64)),
         "prob": np.frombuffer(prob, dtype=np.float64),
         "cum": np.frombuffer(cum, dtype=np.float64),
-        "goal": np.array([problem.is_goal(s) for s in states.tolist()], dtype=bool),
     }
 
 

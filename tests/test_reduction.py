@@ -113,7 +113,7 @@ class TestBuildReducedModel:
         reduced = build_reduced_model(problem, UniformSelector(MOST_LIKELY))
         assert reduced.start == problem.start
         assert reduced.goals == problem.goals
-        assert reduced.cost(0, 0) == problem.cost(0, 0)
+        assert reduced.record(0)[1][0] == problem.record(0)[1][0]
 
     def test_table_selector_missing_pair(self, risky_fork):
         # The selector is asked for every pair of a state at once, so the

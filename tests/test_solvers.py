@@ -56,9 +56,9 @@ def hmin_reference(problem):
         for s in states:
             if problem.is_goal(s):
                 continue
-            for a in problem.actions(s):
-                for s2, _ in problem.transition(s, a):
-                    q = problem.cost(s, a) + h[s2]
+            for c, dist in zip(*problem.record(s)[1:]):
+                for s2, _ in dist:
+                    q = c + h[s2]
                     if q < h[s]:
                         h[s] = q
                         changed = True
@@ -271,7 +271,8 @@ class TestLaoStarInvariants:
                 best, _ = bellman_backup(problem, values, s, hmin)
                 residual = abs(best - solution.values[s])
                 assert residual < TIGHT_EPS, f"{label}: state {s} residual {residual:.2e}"
-                q = problem.cost(s, policy[s]) + sum(
+                acts, costs, _ = problem.record(s)
+                q = costs[acts.index(policy[s])] + sum(
                     p * values[s2] for s2, p in problem.transition(s, policy[s])
                 )
                 assert q - best < 2 * TIGHT_EPS, f"{label}: state {s} action not greedy"
@@ -431,9 +432,9 @@ class TestHmin:
         for s in reachable_states(problem):
             if problem.is_goal(s):
                 continue
-            for a in problem.actions(s):
+            for a, c in zip(*problem.record(s)[:2]):
                 for s2, _ in problem.transition(s, a):
-                    assert h(s) <= problem.cost(s, a) + h(s2)
+                    assert h(s) <= c + h(s2)
 
     def test_trap_state_is_infinite(self):
         # State 1 loops on itself and never reaches the goal.
