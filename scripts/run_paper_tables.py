@@ -16,6 +16,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from prmplan import run_experiment  # noqa: E402
 from prmplan.cli import (  # noqa: E402
+    MODEL_NAMES,
     RM01_DEFAULTS,
     _align_columns,
     _at_least_one,
@@ -23,8 +24,6 @@ from prmplan.cli import (  # noqa: E402
     _non_negative,
 )
 from prmplan.domains import desk_instances, large_instances  # noqa: E402
-
-MODELS = ("full", "mlod", "m02", "rm01")
 
 
 def evaluate(name, problem, predicate, model_names, trials, seed):
@@ -36,11 +35,11 @@ def evaluate(name, problem, predicate, model_names, trials, seed):
 
 def print_table(title, rows, field):
     print(f"\n== {title} ==")
-    table = [["instance", "states", *MODELS]]
+    table = [["instance", "states", *MODEL_NAMES]]
     for instance in sorted({r["instance"] for r in rows}):
         mine = {r["model"]: r for r in rows if r["instance"] == instance}
         line = [instance, str(next(iter(mine.values()))["states"])]
-        line += [f"{mine[m][field]:.2f}" if m in mine else "-" for m in MODELS]
+        line += [f"{mine[m][field]:.2f}" if m in mine else "-" for m in MODEL_NAMES]
         table.append(line)
     print("\n".join(_align_columns(table)))
 
@@ -56,11 +55,18 @@ def main(argv=None):
     )
     parser.add_argument("--out", help="also write the aggregate rows as CSV")
     args = parser.parse_args(argv)
+    # An unwritable --out fails here, before any instance is built; opening
+    # it to append leaves an existing file as it is until the run is done.
+    if args.out:
+        try:
+            open(args.out, "a").close()
+        except OSError as exc:
+            return cannot_write(args.out, exc)
 
     all_rows = []
     for name, problem, predicate in desk_instances():
         print(f"running {name} ({problem.n_states} states)...", flush=True)
-        all_rows += evaluate(name, problem, predicate, MODELS, args.trials, args.seed)
+        all_rows += evaluate(name, problem, predicate, MODEL_NAMES, args.trials, args.seed)
     if not args.skip_large:
         for name, problem, predicate in large_instances():
             print(f"running {name} ({problem.n_states} states)...", flush=True)
@@ -76,12 +82,20 @@ def main(argv=None):
         print_table(title, all_rows, field)
 
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(all_rows[0]))
-            writer.writeheader()
-            writer.writerows(all_rows)
+        try:
+            with open(args.out, "w", newline="") as fh:
+                writer = csv.DictWriter(fh, fieldnames=list(all_rows[0]))
+                writer.writeheader()
+                writer.writerows(all_rows)
+        except OSError as exc:
+            return cannot_write(args.out, exc)
         print(f"\nwrote {args.out}")
     return 0
+
+
+def cannot_write(out, exc):
+    print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -151,8 +151,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_args(experiment)
     experiment.add_argument(
         "--models",
-        default="full,mlod,m02,rm01",
-        help="comma-separated model names (full, mlod, m02, rm01)",
+        default=",".join(MODEL_NAMES),
+        help=f"comma-separated model names ({', '.join(MODEL_NAMES)})",
     )
     experiment.add_argument(
         "--trials", type=_at_least_one, default=100, help="trials per model"

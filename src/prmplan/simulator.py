@@ -134,11 +134,11 @@ def run_trial(
     (its solve_time is charged as the trial's plan time, and each replan's
     as replan time); replanning keeps the trial's own value dict warm
     across re-solves. Every plan is LAO*'s best greedy policy, converged or
-    not: the true model supplies the stochasticity a stalled reduction
-    lacks. The trial also keeps its own set of solved states, seeded from
-    `initial.solved` (which it only reads) and joined by each replan's
-    labels, so a replan stops at states that the initial plan or an earlier
-    replan has already solved.
+    not: the true model supplies the stochasticity an improper reduction
+    lacks. The trial also keeps its own set of solved states: the states of
+    `initial`'s policy when it converged, joined by the policy of each
+    replan that converged, so a replan stops at states that the initial plan
+    or an earlier replan has already solved.
     The trial stops after 10 x base.n_states steps.
     """
     config = config or SimConfig()
@@ -152,7 +152,7 @@ def run_trial(
     stats.plan_time = initial.solve_time
     policy = dict(initial.policy)
     values = initial.values.copy()
-    solved = set(initial.solved)
+    solved = set(initial.policy) if initial.converged else set()
 
     s = base.start
     while stats.steps < cap:
@@ -167,7 +167,8 @@ def run_trial(
             solution = solve_lao_star(reduced, s, solver_cfg, values=values, solved=solved)
             stats.replan_time += solution.solve_time
             policy.update(solution.policy)
-            solved |= solution.solved
+            if solution.converged:
+                solved.update(solution.policy)
             a = policy[s]  # every LAO* pass backs up its start
         acts, costs, dists = base.record(s)
         i = acts.index(a)

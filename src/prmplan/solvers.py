@@ -14,16 +14,16 @@ LAO*'s passes. Value iteration raises NonconvergenceError when it does not
 converge; LAO* returns its best greedy policy with `Solution.converged`
 false, which the executor acts on like any other.
 
-LAO* labels states as LRTDP does (Bonet & Geffner 2003): a converged solve
-reports its final pass's postorder as `Solution.solved`, and a later solve
-given those states in `solved` treats them like goals. It reads their
+LAO* labels states as LRTDP does (Bonet & Geffner 2003): a converged
+solve's labels are its policy's states, its final pass's postorder, and a
+later solve given them in `solved` treats them like goals. It reads their
 values but neither enters nor backs them up. This is sound for replans in
 one model warm-started from the same values: the final pass's greedy graph
 is closed over its own states, the solved ones and goals, so a labelled
 state's value depends only on other labelled states. Later solves only
 raise the values of the other states (h_min is consistent), which can only
 raise the Q-values of a labelled state's other actions, so its residual
-stays below epsilon. A stalled solve and value iteration label nothing.
+stays below epsilon. An unconverged solve labels nothing.
 """
 
 from __future__ import annotations
@@ -53,11 +53,10 @@ class SolverConfig:
 @dataclass
 class Solution:
     """A solver's (partial) policy, its value dict and its work counters.
-    `converged` is false only for a LAO* solve that stalled or ran out of
-    passes. `solved` is the set of states labelled by a converged LAO*
-    solve: its final pass's postorder, which is exactly the policy's
-    states. It is empty for a stalled LAO* solve. VI fills only `values`,
-    `expanded_states` and `solve_time`; its policy and labels are empty."""
+    `converged` is false only for a LAO* solve that gave up or ran out of
+    passes. A converged LAO* policy covers exactly its final pass's states,
+    which are the solve's labels. VI fills only `values`, `expanded_states`
+    and `solve_time`; its policy is empty."""
 
     policy: Policy
     values: dict[int, float]
@@ -66,7 +65,6 @@ class Solution:
     start: int
     converged: bool = True
     backups: int = 0  # Bellman kernel calls (LAO*)
-    solved: frozenset[int] = frozenset()
 
     @property
     def start_value(self) -> float:
@@ -178,17 +176,17 @@ def solve_lao_star(
 
     A value dict may be passed in for warm-started replanning; it is
     updated in place, and states new to it start at `config.heuristic`.
-    A solve that stalls or runs out of passes returns the best greedy policy
-    found, with `converged` false. Improper inputs stall: once the envelope
-    is tip-free, its residual stops halving when no goal is reachable along
-    it.
+    A solve that gives up or runs out of passes returns the best greedy
+    policy found, with `converged` false. Every 200 tip-free passes it gives
+    up if the residual is not below the one 200 passes earlier: improper
+    inputs never converge, and their residual does not fall.
 
     `solved` holds states labelled by earlier converged solves of the same
     model whose values are in `values` (see the module docstring). A pass
     treats them like goals: it reads their values but does not enter or
     back them up. The start is always expanded. The returned policy then
-    covers only the states of the final pass, and `Solution.solved` labels
-    them when the solve converged.
+    covers only the states of the final pass, which are the new labels when
+    the solve converged.
     """
     config = config or SolverConfig()
     root = problem.start if start is None else start
@@ -247,30 +245,24 @@ def solve_lao_star(
 
     def snapshot(order: list[int], converged: bool) -> Solution:
         policy = {s: greedy[s] for s in order}
-        labels = frozenset(policy) if converged else frozenset()
-        return Solution(
-            policy, v, len(greedy), time.perf_counter() - t0, root, converged, backups, labels
-        )
+        return Solution(policy, v, len(greedy), time.perf_counter() - t0, root, converged, backups)
 
     order: list[int] = []
-    tip_free = stall = 0
+    tip_free = 0
     block_residual = math.inf
     for _ in range(config.max_iterations):
         order, new, residual, changed = sweep()
         if new:
-            tip_free = stall = 0
+            tip_free = 0
             block_residual = math.inf
             continue
         if residual < config.epsilon and not changed:
             return snapshot(order, converged=True)
-        # A tip-free envelope that will not converge: values only keep
-        # growing when no goal is reachable along the greedy graph. It has
-        # stalled when its residual fails to halve over 5 blocks of passes.
+        # A tip-free envelope along which no goal is reachable: values keep
+        # growing, and the residual does not fall from block to block.
         tip_free += 1
         if tip_free % 200 == 0:
-            stall = stall + 1 if residual >= 0.5 * block_residual else 0
-            block_residual = residual
-            if stall >= 5:
+            if residual >= block_residual:
                 break
+            block_residual = residual
     return snapshot(order, converged=False)
-

@@ -12,7 +12,7 @@ import pytest
 from conftest import SelectorError, TableSelector
 from hypothesis import given
 from hypothesis import strategies as st
-from test_solvers import random_proper_ssp
+from random_ssps import random_proper_ssp
 
 from prmplan import (
     FULL_MODEL,

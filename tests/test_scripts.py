@@ -33,6 +33,16 @@ def test_desk_tables_smoke(tmp_path):
     assert all(r["goal_trials"] == "1" for r in rows)
 
 
+def test_unwritable_out_fails_before_any_instance_runs(tmp_path):
+    out = tmp_path / "missing" / "tables.csv"
+    result = run_script("--trials", "1", "--skip-large", "--out", str(out))
+    assert result.returncode == 1
+    assert result.stderr.startswith(f"error: cannot write {out}: ")
+    assert result.stderr.count("\n") == 1
+    assert "running" not in result.stdout
+    assert not out.parent.exists()
+
+
 @pytest.mark.parametrize("flag,value", [("--trials", "0"), ("--seed", "-1")])
 def test_bad_counts_exit_2(flag, value):
     result = run_script(flag, value, "--skip-large")

@@ -216,7 +216,7 @@ class TestSolvedLabels:
         for label, base, reduced, predicate, hmin in replanned_reductions:
             config = SimConfig().solver_config(hmin)
             initial = solve_lao(reduced, reduced.start, config)
-            assert initial.solved == frozenset(initial.policy), label
+            assert initial.converged, label
             replans = 0
             for seed in range(10):
                 after = []
@@ -226,11 +226,12 @@ class TestSolvedLabels:
                 assert stats.reached_goal and stats.replans == len(after), label
                 replans += stats.replans
                 policy = dict(initial.policy)
-                labels = initial.solved
+                labels = frozenset(initial.policy)
                 for before, values, solution in after:
                     assert before == labels, label  # every earlier replan's labels joined
                     policy.update(solution.policy)
-                    labels = before | solution.solved
+                    if solution.converged:
+                        labels = before | frozenset(solution.policy)
                     for s in labels:
                         best, _ = backup(reduced, dict(values), s, hmin)
                         assert abs(best - values[s]) < eps, f"{label}: state {s}"

@@ -3,8 +3,8 @@
 import argparse
 import math
 
-import numpy as np
 import pytest
+from random_ssps import random_proper_ssp
 
 from prmplan import (
     MOST_LIKELY,
@@ -25,24 +25,6 @@ from prmplan import (
 EPS = 1e-3
 # Solver epsilon of the LAO* invariant tests.
 TIGHT_EPS = 1e-6
-
-
-def random_proper_ssp(seed: int, n_states: int = 12, n_actions: int = 3):
-    """A seeded random SSP kept proper by wiring every action to sometimes
-    step one state closer to the goal (state n-1)."""
-    rng = np.random.default_rng(seed)
-    transitions = {}
-    costs = {}
-    goal = n_states - 1
-    for s in range(goal):
-        for a in range(n_actions):
-            succs = {s + 1: 0.4}
-            for _ in range(int(rng.integers(1, 3))):
-                succs[int(rng.integers(0, n_states))] = float(rng.uniform(0.1, 0.5))
-            total = sum(succs.values())
-            transitions[(s, a)] = [(s2, p / total) for s2, p in sorted(succs.items())]
-            costs[(s, a)] = float(rng.uniform(0.5, 3.0))
-    return tabular_problem(transitions, costs, start=0, goals={goal})
 
 
 def hmin_reference(problem):
@@ -169,13 +151,13 @@ class TestLaoStar:
     def test_improper_model_returns_unconverged(self):
         # No goal is reachable: LAO* must return its best-so-far solution,
         # flagged as not converged, instead of spinning forever. The pass
-        # cap stops it here, before the stall rule can: 500 passes of two
-        # backups each, plus the first pass's two expansions.
-        solution = solve_lao_star(self.improper_problem(), config=SolverConfig(max_iterations=500))
+        # cap stops it here, before the residual is first compared with an
+        # earlier block's at 400 tip-free passes: 300 passes of two backups
+        # each, plus the first pass's two expansions.
+        solution = solve_lao_star(self.improper_problem(), config=SolverConfig(max_iterations=300))
         assert solution.converged is False
         assert solution.policy == {0: 0, 1: 0}
-        assert solution.solved == frozenset()
-        assert solution.backups == 1_002
+        assert solution.backups == 602
 
     def test_experiment_refuses_a_state_that_reaches_no_goal(self, monkeypatch):
         # run_experiment checks h_min before value iteration could sweep the
@@ -195,10 +177,51 @@ class TestLaoStar:
         solution = solve_lao_star(self.improper_problem())
         assert solution.converged is False
         assert solution.policy == {0: 0, 1: 0}
-        assert solution.solved == frozenset()  # a stalled solve labels nothing
-        # The stall rule stopped it, not the pass cap: 100,000 passes would
-        # make 200,000 backups.
-        assert solution.backups < 5_000
+        # Two blocks of 200 tip-free passes stopped it, not the pass cap:
+        # 100,000 passes would make 200,000 backups.
+        assert solution.backups <= 804
+
+    @staticmethod
+    def traps():
+        """Proper starts into cycles that reach no goal (state 3)."""
+        closed_pair = tabular_problem(
+            transitions={(0, 0): [(1, 1.0)], (1, 0): [(0, 1.0)]},
+            costs={(0, 0): 1.0, (1, 0): 3.0},
+            start=0,
+            goals={3},
+            n_states=4,
+        )
+        period_2 = tabular_problem(
+            transitions={(0, 0): [(1, 1.0)], (1, 0): [(2, 1.0)], (2, 0): [(1, 1.0)]},
+            costs={(0, 0): 1.0, (1, 0): 1.0, (2, 0): 1.0},
+            start=0,
+            goals={3},
+        )
+        return [TestLaoStar.improper_problem(), closed_pair, period_2]
+
+    @pytest.mark.parametrize("trap", range(3), ids=["half-loop", "closed-pair", "period-2"])
+    def test_trap_gives_up_within_two_blocks(self, trap):
+        # The residual of a trap does not fall between the first two blocks
+        # of 200 tip-free passes, so LAO* gives up there: at most 3 states
+        # backed up 401 times, plus their expansions.
+        solution = solve_lao_star(self.traps()[trap])
+        assert solution.converged is False
+        assert solution.backups <= 1_206
+
+    @pytest.mark.parametrize("stay", [0.997, 0.999])
+    def test_slowly_contracting_loop_converges(self, stay):
+        # V*(s0) = 1 / (1 - stay): the residual falls by a factor of only
+        # stay per pass, yet it keeps falling, so LAO* runs to convergence.
+        problem = tabular_problem(
+            transitions={(0, 0): [(0, stay), (1, 1 - stay)]},
+            costs={(0, 0): 1.0},
+            start=0,
+            goals={1},
+        )
+        solution = solve_lao_star(problem)
+        vi = solve_value_iteration(problem)
+        assert solution.converged
+        assert abs(solution.start_value - vi.start_value) <= 2 * EPS
 
     def test_no_convergence_on_a_pass_that_changes_an_action(self):
         # V(2) climbs to 2 by halving steps. On the first pass whose residual
@@ -312,24 +335,26 @@ class TestLaoStarInvariants:
         for label, problem, hmin in invariant_models:
             config = SolverConfig(TIGHT_EPS, heuristic=hmin)
             first = solve_lao_star(problem, config=config)
-            assert first.solved == frozenset(first.policy), label
+            assert first.converged, label
+            first_labels = frozenset(first.policy)
             states = [s for s in reachable_states(problem) if not problem.is_goal(s)]
-            candidates = [s for s in states if s not in first.solved]
+            candidates = [s for s in states if s not in first_labels]
             if not candidates:
                 continue
             s1 = candidates[len(candidates) // 2]
             backed_up.clear()
             warm = solve_lao_star(
-                problem, s1, config, values=first.values.copy(), solved=first.solved
+                problem, s1, config, values=first.values.copy(), solved=first_labels
             )
-            assert not first.solved.intersection(backed_up), label
-            assert warm.solved == frozenset(warm.policy) and s1 in warm.solved, label
-            assert not warm.solved & first.solved, label
+            assert not first_labels.intersection(backed_up), label
+            warm_labels = frozenset(warm.policy)
+            assert warm.converged and s1 in warm_labels, label
+            assert not warm_labels & first_labels, label
             cold = solve_lao_star(problem, s1, config)
             assert abs(warm.start_value - cold.start_value) <= 2 * TIGHT_EPS, label
-            closed = warm.solved | first.solved
+            closed = warm_labels | first_labels
             policy = {**first.policy, **warm.policy}
-            for s in warm.solved:
+            for s in warm_labels:
                 for s2, _ in problem.transition(s, policy[s]):
                     assert s2 in closed or problem.is_goal(s2), f"{label}: {s} -> {s2}"
 
@@ -339,8 +364,9 @@ class TestLaoStarInvariants:
         for label, problem, hmin in invariant_models:
             config = SolverConfig(TIGHT_EPS, heuristic=hmin)
             first = solve_lao_star(problem, config=config)
+            assert first.converged, label
             again = solve_lao_star(
-                problem, config=config, values=first.values.copy(), solved=first.solved
+                problem, config=config, values=first.values.copy(), solved=frozenset(first.policy)
             )
             assert again.policy == {problem.start: first.policy[problem.start]}, label
             assert again.start_value == pytest.approx(first.start_value, abs=TIGHT_EPS)
