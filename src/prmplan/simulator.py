@@ -46,7 +46,9 @@ class TrialStats:
 @dataclass
 class ModelResult:
     """Aggregates over the trials of one named reduced model. The means
-    cover only the trials that did not fail, and are nan when none did."""
+    cover only the trials that reached the goal, `goal_trials` of them: a
+    failed trial and one stopped by the step cap have no whole cost. They
+    are nan when no trial reached the goal."""
 
     name: str
     trials: list[TrialStats] = field(default_factory=list)
@@ -54,7 +56,7 @@ class ModelResult:
     failure: str = ""
 
     def _mean(self, stat: Callable[[TrialStats], float]) -> float:
-        done = [stat(t) for t in self.trials if not t.failure]
+        done = [stat(t) for t in self.trials if t.reached_goal]
         return float(np.mean(done)) if done else math.nan
 
     @property

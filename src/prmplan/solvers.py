@@ -6,24 +6,27 @@ and outcomes, LAO* through the Bellman kernel. A goal's record, a zero-cost
 self-loop, keeps it at 0 in value iteration; h_min seeds 0 on the goals,
 and LAO* stops at them. LAO* plans every reduced model, determinized ones
 included, and runs as ILAO*: each iteration is one depth-first pass over
-the greedy envelope that expands the tips it meets and backs its states up
-in postorder. Value iteration shares no code with it, so it stays an
+the greedy envelope that expands the tips it meets and backs its unlabelled
+states up in postorder. Value iteration shares no code with it, so it stays an
 independent oracle, and a value oracle only: every caller reads V*(s0), so
 its policy is empty. `SolverConfig.max_iterations` bounds VI's sweeps and
 LAO*'s passes. Value iteration raises NonconvergenceError when it does not
 converge; LAO* returns its best greedy policy with `Solution.converged`
 false, which the executor acts on like any other.
 
-LAO* labels states as LRTDP does (Bonet & Geffner 2003): a converged
-solve's labels are its policy's states, its final pass's postorder, and a
-later solve given them in `solved` treats them like goals. It reads their
-values but neither enters nor backs them up. This is sound for replans in
-one model warm-started from the same values: the final pass's greedy graph
-is closed over its own states, the solved ones and goals, so a labelled
-state's value depends only on other labelled states. Later solves only
-raise the values of the other states (h_min is consistent), which can only
-raise the Q-values of a labelled state's other actions, so its residual
-stays below epsilon. An unconverged solve labels nothing.
+LAO* labels states as HDP does (Bonet & Geffner 2003). Within a solve, a
+pass labels each strongly connected component of the greedy graph that it
+closes when each member's backup in that pass kept its greedy action and
+moved its value by less than epsilon, and every edge out of it ends at a
+goal, a `solved` state or a label; later passes read a labelled state's
+value but neither enter nor back it up. Across solves, a converged solve's
+policy states are labels, and a later solve given them in `solved` treats
+them the same way. Both are sound for one model warm-started from the same
+values: a labelled state's greedy edges end at labelled states, solved ones
+and goals, so its value depends only on theirs. Later backups only raise
+the values of the other states (h_min is consistent), which can only raise
+the Q-values of a labelled state's other actions, so its residual stays
+below epsilon. An unconverged solve hands no labels to later solves.
 """
 
 from __future__ import annotations
@@ -54,9 +57,9 @@ class SolverConfig:
 class Solution:
     """A solver's (partial) policy, its value dict and its work counters.
     `converged` is false only for a LAO* solve that gave up or ran out of
-    passes. A converged LAO* policy covers exactly its final pass's states,
-    which are the solve's labels. VI fills only `values`, `expanded_states`
-    and `solve_time`; its policy is empty."""
+    passes. A LAO* policy covers the greedy graph from its start up to goals
+    and the `solved` states it was given. VI fills only `values`,
+    `expanded_states` and `solve_time`; its policy is empty."""
 
     policy: Policy
     values: dict[int, float]
@@ -164,15 +167,20 @@ def solve_lao_star(
     values: dict[int, float] | None = None,
     solved: Set[int] = frozenset(),
 ) -> Solution:
-    """ILAO* (Hansen & Zilberstein 2001): one depth-first pass per iteration.
+    """ILAO* (Hansen & Zilberstein 2001) with HDP's labels (Bonet & Geffner
+    2003): one depth-first pass per iteration.
 
     Each pass walks the greedy envelope from start. A state met for the
     first time is expanded: one backup fixes its greedy action, and the
-    pass goes on into that action's successors. Every non-goal state of the
-    pass is backed up in postorder. The solve has converged after a pass
-    that expands nothing, changes no greedy action and has a residual below
-    epsilon, so the bound holds on the returned policy's envelope.
-    `config.max_iterations` counts passes.
+    pass goes on into that action's successors. Every state the pass enters
+    is backed up in postorder, and Tarjan's lowlinks over the greedy edges
+    it follows close the strongly connected components of the greedy graph.
+    A closing component is labelled when each member's postorder backup kept
+    its greedy action and moved its value by less than epsilon, and each of
+    its edges out ends at a goal, a `solved` state or a labelled one. Later
+    passes read a labelled state's value but neither enter nor back it up.
+    The solve has converged once its start is labelled, so the bound holds
+    on the returned policy's envelope. `config.max_iterations` counts passes.
 
     A value dict may be passed in for warm-started replanning; it is
     updated in place, and states new to it start at `config.heuristic`.
@@ -183,20 +191,22 @@ def solve_lao_star(
 
     `solved` holds states labelled by earlier converged solves of the same
     model whose values are in `values` (see the module docstring). A pass
-    treats them like goals: it reads their values but does not enter or
-    back them up. The start is always expanded. The returned policy then
-    covers only the states of the final pass, which are the new labels when
-    the solve converged.
+    treats them like goals, and like its own labels. The start is always
+    entered. The returned policy is the greedy graph from the start up to
+    goals and `solved` states: the final pass's states and the labelled
+    states they reach, which are the new labels when the solve converged.
     """
     config = config or SolverConfig()
     root = problem.start if start is None else start
     t0 = time.perf_counter()
     v = values if values is not None else {}
     h = config.heuristic
+    epsilon = config.epsilon
     goals = problem.goals
-    if root in goals:
-        v[root] = 0.0  # no pass backs a goal up
     greedy: dict[int, int] = {}
+    # 1 at each state this solve has labelled: a byte per state, not a set
+    # entry, since nearly every state of an acyclic greedy graph is labelled.
+    labelled = bytearray(problem.n_states)
     backups = 0
 
     def successors(s: int) -> Iterator[tuple[int, float]]:
@@ -211,53 +221,92 @@ def solve_lao_star(
         acts, _, dists = problem.record(s)
         return iter(dists[acts.index(a)])
 
-    def sweep() -> tuple[list[int], int, float, bool]:
+    def sweep() -> tuple[list[int], int, float]:
         """One pass: the postorder of the states it backed up, how many it
-        expanded, its max residual, and whether a greedy action changed."""
+        expanded and its max residual. It labels the components it closes."""
         nonlocal backups
         order: list[int] = []
         n_before = len(greedy)
         residual = 0.0
-        changed = False
-        seen = {root}
-        stack = [] if root in goals else [(root, successors(root))]
+        # The entered states whose component is still open, in the order
+        # they were entered; a state's position here is its DFS number.
+        open_states = [root]
+        # Each state the pass has met: its DFS number while its component
+        # is open, -1 once that closed unlabelled, and inf for goals, solved
+        # and labelled states, which the pass does not enter.
+        number: dict[int, float] = {root: 0}
+        # Frames: [state, outcome iterator, lowlink, DFS number, whether all
+        # it reaches has converged so far].
+        stack: list[list] = [[root, successors(root), 0, 0, True]]
         while stack:
-            s, succ = stack[-1]
-            for s2, _ in succ:
-                if s2 not in seen:
-                    seen.add(s2)
-                    if s2 not in goals and s2 not in solved:
-                        stack.append((s2, successors(s2)))
-                        break
+            frame = stack[-1]
+            for s2, _ in frame[1]:
+                if s2 in number:
+                    n = number[s2]
+                    if n < frame[2]:
+                        if n < 0:
+                            frame[4] = False
+                        else:
+                            frame[2] = n
+                elif s2 in goals or s2 in solved or labelled[s2]:
+                    number[s2] = math.inf
+                else:
+                    number[s2] = n = len(open_states)
+                    open_states.append(s2)
+                    stack.append([s2, successors(s2), n, n, True])
+                    break
             else:
                 stack.pop()
+                s, _, low, n, ok = frame
                 val, a = bellman_backup(problem, v, s, h)
                 diff = abs(val - v[s])
                 if diff > residual:
                     residual = diff
-                if a != greedy[s]:
-                    changed = True
+                if a != greedy[s] or diff >= epsilon:
                     greedy[s] = a
+                    ok = False
                 v[s] = val
                 order.append(s)
+                if low == n:
+                    closed = math.inf if ok else -1
+                    while len(open_states) > n:
+                        m = open_states.pop()
+                        number[m] = closed
+                        if ok:
+                            labelled[m] = 1
+                elif low < stack[-1][2]:
+                    stack[-1][2] = low
+                if not ok and stack:
+                    stack[-1][4] = False
         backups += len(order)
-        return order, len(greedy) - n_before, residual, changed
+        return order, len(greedy) - n_before, residual
 
     def snapshot(order: list[int], converged: bool) -> Solution:
         policy = {s: greedy[s] for s in order}
+        reached = list(order)
+        while reached:
+            s = reached.pop()
+            acts, _, dists = problem.record(s)
+            for s2, _ in dists[acts.index(policy[s])]:
+                if labelled[s2] and s2 not in policy:
+                    policy[s2] = greedy[s2]
+                    reached.append(s2)
         return Solution(policy, v, len(greedy), time.perf_counter() - t0, root, converged, backups)
 
+    if root in goals:
+        v[root] = 0.0  # no pass backs a goal up
+        return snapshot([], converged=True)
     order: list[int] = []
     tip_free = 0
     block_residual = math.inf
     for _ in range(config.max_iterations):
-        order, new, residual, changed = sweep()
+        order, new, residual = sweep()
+        if labelled[root]:
+            return snapshot(order, converged=True)
         if new:
             tip_free = 0
             block_residual = math.inf
             continue
-        if residual < config.epsilon and not changed:
-            return snapshot(order, converged=True)
         # A tip-free envelope along which no goal is reachable: values keep
         # growing, and the residual does not fall from block to block.
         tip_free += 1

@@ -269,14 +269,12 @@ class TestExperiment:
         trials = read_csv(out / "trials.csv")
         agg = {r["model"]: r for r in read_csv(out / "aggregate.csv")}
         for model, row in agg.items():
-            mine = [t for t in trials if t["model"] == model]
+            mine = [t for t in trials if t["model"] == model and int(t["reached_goal"])]
             mean_nse = sum(int(t["nse_hits"]) for t in mine) / len(mine)
             mean_cost = sum(float(t["cost"]) for t in mine) / len(mine)
             assert float(row["avg_nse"]) == pytest.approx(mean_nse, abs=1e-9)
             assert float(row["mean_cost"]) == pytest.approx(mean_cost, rel=1e-6)
-            assert int(row["goal_trials"]) == sum(
-                int(t["reached_goal"]) for t in mine
-            )
+            assert int(row["goal_trials"]) == len(mine)
 
     def test_model_subset_flag(self, tmp_path, capsys):
         out = run_experiment_cli(tmp_path, "subset", extra=["--models", "full,rm01"])

@@ -2,11 +2,14 @@
 
 import argparse
 import math
+from pathlib import Path
 
 import pytest
 from random_ssps import random_proper_ssp
 
 from prmplan import (
+    FULL_MODEL,
+    M02,
     MOST_LIKELY,
     ModelError,
     NonconvergenceError,
@@ -23,6 +26,7 @@ from prmplan import (
 )
 
 EPS = 1e-3
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # Solver epsilon of the LAO* invariant tests.
 TIGHT_EPS = 1e-6
 
@@ -243,6 +247,30 @@ class TestLaoStar:
         solution = solve_lao_star(problem, config=SolverConfig(epsilon=0.05, heuristic=h))
         assert solution.policy == {0: 0, 2: 0}
         assert solution.start_value == pytest.approx(2.5, abs=0.1)
+
+    @pytest.mark.parametrize(
+        "instance,model,bound",
+        [
+            # 30,752 backups without labels inside a solve, 7,080 with them.
+            ("ev-file", FULL_MODEL, 8_000),
+            # 20,944 without, 8,956 with.
+            ("zigzag-4", M02, 10_000),
+        ],
+        ids=["ev-file-full", "zigzag-4-m02"],
+    )
+    def test_labels_bound_the_backups(self, instance, model, bound):
+        # A pass stops at the components labelled by earlier passes, so
+        # the greedy graph is not backed up whole on every pass.
+        from prmplan.domains import build_instance
+
+        if instance == "ev-file":
+            base, _ = build_instance("ev", str(PERFBENCH / "ev-gen-1.json"))
+        else:
+            base, _ = build_instance("racetrack", instance)
+        reduced = build_reduced_model(base, UniformSelector(model), name="guard")
+        solution = solve_lao_star(reduced, config=SolverConfig(EPS, heuristic=compute_hmin(base)))
+        assert solution.converged
+        assert solution.backups <= bound
 
     def test_expands_lazily(self, small_sailing):
         problem, _ = small_sailing
