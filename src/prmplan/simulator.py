@@ -4,18 +4,25 @@ Policies are computed on a reduced model and executed against the base
 model's real outcome distributions. Whenever the current state has no
 policy action the agent replans on the same reduced model from that state;
 replanning in a risky state counts as a negative side effect.
+
+Each trial draws its outcomes from numpy's `default_rng` streams, computed
+in Python (`prmplan.pcg64`): trial i of a run seeded s draws from
+`default_rng(SeedSequence([s, i]).generate_state(1)[0])`, one `random()` per
+step. So of the protocol only `rm01`'s risk walks load `numpy.random`,
+which takes about 6 MB resident. That saving needs numpy >= 2, which loads
+`numpy.random` lazily; numpy 1.x loads it with numpy itself.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable, Iterable, Sequence
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .mdp import SspProblem
+from .pcg64 import Pcg64, seed_words
 from .reduction import FULL_MODEL, ModelSelector, ReducedModel, UniformSelector
 from .risk import RiskPredicate
 from .solvers import Solution, SolverConfig, proper_hmin, solve_lao_star, solve_value_iteration
@@ -117,7 +124,7 @@ class ExperimentReport:
 
 
 # Only perfbench's traced replay (perfbench/child.py) still imports this
-# name; ROADMAP item 1 deletes it.
+# name; ROADMAP item 2 deletes it.
 _solve_reduced = solve_lao_star
 
 
@@ -146,15 +153,16 @@ def run_trial(
     config = config or SimConfig()
     solver_cfg = config.solver_config(heuristic)
     cap = 10 * base.n_states
-    rng = np.random.default_rng(seed)
+    rng = Pcg64(seed)
     stats = TrialStats(seed=seed)
 
     if initial is None:
         initial = solve_lao_star(reduced, config=solver_cfg)
     stats.plan_time = initial.solve_time
-    policy = dict(initial.policy)
-    values = initial.values.copy()
-    solved = set(initial.policy) if initial.converged else set()
+    # Read until the first replan, which copies: `--jobs` threads share
+    # `initial`, and a `full` trial never replans.
+    policy = initial.policy
+    values = solved = None
 
     s = base.start
     while stats.steps < cap:
@@ -166,6 +174,10 @@ def run_trial(
             stats.replans += 1
             if predicate(s):
                 stats.nse_hits += 1
+            if values is None:
+                policy = dict(policy)
+                values = initial.values.copy()
+                solved = set(policy) if initial.converged else set()
             solution = solve_lao_star(reduced, s, solver_cfg, values=values, solved=solved)
             stats.replan_time += solution.solve_time
             policy.update(solution.policy)
@@ -251,7 +263,7 @@ def run_experiment(
         def one_trial(trial: int) -> TrialStats:
             # Common random numbers: trial i draws the same outcome stream
             # under every model, pairing the per-model comparisons.
-            trial_seed = int(np.random.SeedSequence([seed, trial]).generate_state(1)[0])
+            trial_seed = seed_words([seed, trial], 1)[0]
             try:
                 return run_trial(
                     base, reduced, predicate, config,
@@ -261,6 +273,8 @@ def run_experiment(
                 return TrialStats(seed=trial_seed, failure=f"{type(exc).__name__}: {exc}")
 
         if config.jobs > 1:
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=config.jobs) as pool:
                 result.trials = list(pool.map(one_trial, range(trials)))
         else:

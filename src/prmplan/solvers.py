@@ -203,23 +203,27 @@ def solve_lao_star(
     h = config.heuristic
     epsilon = config.epsilon
     goals = problem.goals
-    greedy: dict[int, int] = {}
+    # Each expanded state's greedy action and that action's outcomes.
+    greedy: dict[int, tuple[int, tuple]] = {}
     # 1 at each state this solve has labelled: a byte per state, not a set
     # entry, since nearly every state of an acyclic greedy graph is labelled.
     labelled = bytearray(problem.n_states)
     backups = 0
 
+    def greedy_entry(s: int, a: int) -> tuple[int, tuple]:
+        acts, _, dists = problem.record(s)
+        return a, dists[acts.index(a)]
+
     def successors(s: int) -> Iterator[tuple[int, float]]:
         """Enter s: expand it if it is new, then iterate the outcomes of its
         greedy action."""
         nonlocal backups
-        a = greedy.get(s)
-        if a is None:
+        entry = greedy.get(s)
+        if entry is None:
             v[s], a = bellman_backup(problem, v, s, h)
-            greedy[s] = a
+            entry = greedy[s] = greedy_entry(s, a)
             backups += 1
-        acts, _, dists = problem.record(s)
-        return iter(dists[acts.index(a)])
+        return iter(entry[1])
 
     def sweep() -> tuple[list[int], int, float]:
         """One pass: the postorder of the states it backed up, how many it
@@ -262,8 +266,10 @@ def solve_lao_star(
                 diff = abs(val - v[s])
                 if diff > residual:
                     residual = diff
-                if a != greedy[s] or diff >= epsilon:
-                    greedy[s] = a
+                if a != greedy[s][0]:
+                    greedy[s] = greedy_entry(s, a)
+                    ok = False
+                elif diff >= epsilon:
                     ok = False
                 v[s] = val
                 order.append(s)
@@ -282,14 +288,12 @@ def solve_lao_star(
         return order, len(greedy) - n_before, residual
 
     def snapshot(order: list[int], converged: bool) -> Solution:
-        policy = {s: greedy[s] for s in order}
+        policy = {s: greedy[s][0] for s in order}
         reached = list(order)
         while reached:
-            s = reached.pop()
-            acts, _, dists = problem.record(s)
-            for s2, _ in dists[acts.index(policy[s])]:
+            for s2, _ in greedy[reached.pop()][1]:
                 if labelled[s2] and s2 not in policy:
-                    policy[s2] = greedy[s2]
+                    policy[s2] = greedy[s2][0]
                     reached.append(s2)
         return Solution(policy, v, len(greedy), time.perf_counter() - t0, root, converged, backups)
 

@@ -426,3 +426,32 @@ def test_import_leaves_scipy_unloaded():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_run_without_risk_walks_leaves_numpy_random_and_threads_unloaded():
+    # Trials draw from prmplan.pcg64, so only rm01's walks need numpy.random
+    # (6 MB resident under numpy >= 2), and --jobs 1 needs no thread pool.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = """
+import sys
+import numpy
+eager = "numpy.random" in sys.modules
+import prmplan.cli
+from prmplan import FULL_MODEL, M02, MOST_LIKELY, UniformSelector, run_experiment
+from prmplan.domains import build_instance
+base, predicate = build_instance("racetrack", "ring-3")
+models = [("full", FULL_MODEL), ("mlod", MOST_LIKELY), ("m02", M02)]
+report = run_experiment(base, [(n, UniformSelector(p)) for n, p in models], predicate, trials=5)
+assert [r.goal_trials for r in report.results] == [5, 5, 5]
+print(eager, "numpy.random" in sys.modules, "concurrent.futures" in sys.modules)
+"""
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    eager, random_loaded, futures_loaded = result.stdout.split()
+    assert futures_loaded == "False"
+    if eager == "True":
+        pytest.skip("numpy 1.x imports numpy.random with numpy itself")
+    assert random_loaded == "False"
