@@ -2,17 +2,19 @@
 
 Reachability to risky states is estimated per state as the share of
 depth-limited walks, each choosing its action uniformly at random, that
-meet a risky state. A profile advances each state's walks in lockstep over
-the problem's memoized compiled model and its own inverse-CDF table, which
-it builds when it is made, with its predicate's risky mask and the ids of
-the risky states. The exact enumeration oracle walks the records instead.
-The resulting profile feeds the 0/1 reduced model selector.
+meet a risky state. A profile walks every reachable state on its first
+query, whole states' walks in lockstep over the problem's memoized
+compiled model and its own inverse-CDF table, which it builds when it is
+made, with its predicate's risky mask and the ids of the risky states.
+The exact enumeration oracle walks the records instead. The resulting
+profile feeds the 0/1 reduced model selector.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +26,8 @@ from .reduction import ReducedModel
 class RiskPredicate:
     """D(s): true iff deliberation (replanning) in the state is unsafe.
 
-    Must be deterministic and side-effect free, and false on all goals.
+    Must be deterministic and side-effect free, and false on all goals
+    (a RiskProfile refuses one that holds on a reachable goal).
     feature_names documents the state features the predicate encodes.
     """
 
@@ -60,22 +63,78 @@ def _cumulative(model: CompiledModel) -> np.ndarray:
     return cum
 
 
-def _walk_positions(
-    model: CompiledModel, cum: np.ndarray, start: int, n: int, depth: int, seed
+# Walks advance in lockstep chunks of whole states, about this many walks a
+# chunk: enough that numpy's per-call cost is spread thin, few enough that a
+# chunk's draws stay far below a whole-model array. Chunks of 4,096 walks
+# estimated the EV benchmark file faster but raised its run's peak RSS.
+CHUNK_WALKS = 2048
+
+
+def _hit_shares(
+    model: CompiledModel, cum: np.ndarray, risky: np.ndarray, samples: int, depth: int, seed: int
 ) -> np.ndarray:
-    """(n, depth + 1) model positions of n lockstep walks from position start:
-    each step picks an action as floor(u * k) and a successor by inverse CDF."""
-    rng = np.random.default_rng(seed)
-    walks = np.empty((n, depth + 1), dtype=np.int64)
-    here = walks[:, 0] = start
-    for t in range(1, depth + 1):
-        first = model.first_pair[here]
-        k = model.first_pair[here + 1] - first
-        pair = first + (rng.random(n) * k).astype(np.int64)
-        j = np.searchsorted(cum, pair + rng.random(n), side="right")
-        # pair + u can round up to pair + 1, one past the pair's last outcome.
-        here = walks[:, t] = model.succ[np.minimum(j, model.first_outcome[pair + 1] - 1)]
-    return walks
+    """Per position, the share of its `samples` depth-limited walks that meet
+    a risky position; 1.0 at a risky position itself.
+
+    The walks of state s draw `default_rng([seed, s]).random(2 * depth *
+    samples)`: at step t, `samples` doubles pick each walk's action as
+    floor(u * k), then `samples` more its outcome, the first of the pair's
+    entries of `cum` above pair + u (its last one if none is). The walks of
+    whole states advance together, CHUNK_WALKS or so at a time, in buffers
+    allocated once.
+    """
+    first_pair, first_outcome, succ, states = (
+        model.first_pair, model.first_outcome, model.succ, model.states
+    )
+    n_acts = np.diff(first_pair)
+    # Halvings that narrow the widest pair's outcomes to one.
+    halvings = int(np.diff(first_outcome).max() - 1).bit_length()
+    shares = risky.astype(np.float64)
+    todo = np.flatnonzero(~risky)
+    per_chunk = min(max(1, CHUNK_WALKS // samples), max(1, len(todo)))
+    draws = np.empty((per_chunk, 2 * depth, samples))
+    lanes = (per_chunk, samples)
+    here, pick, pair, lo, width, half = (np.empty(lanes, np.int64) for _ in range(6))
+    u, entry = np.empty(lanes), np.empty(lanes)
+    hit, met, up = np.empty(lanes, bool), np.empty(lanes, bool), np.empty(lanes, bool)
+    # The spare rows of a short last chunk walk the previous chunk's draws
+    # from where its walks ended; their counts are not read. Every index
+    # below is in range but the probe at lo - 1 of a one-entry span, which
+    # adds nothing; "clip" keeps np.take from buffering its output.
+    for c in range(0, len(todo), per_chunk):
+        chunk = todo[c : c + per_chunk]
+        for row, s in zip(draws, states[chunk].tolist()):
+            np.random.default_rng([seed, s]).random(out=row.reshape(-1))
+        here[: len(chunk)] = chunk[:, None]
+        hit[:] = False
+        for t in range(depth):
+            # The action: floor(u * k), truncated as astype truncates.
+            np.take(n_acts, here, out=pick, mode="clip")
+            np.multiply(draws[:, 2 * t], pick, out=u)
+            np.copyto(pick, u, casting="unsafe")
+            np.take(first_pair, here, out=pair, mode="clip")
+            pair += pick
+            # The outcome: the first of the pair's entries above pair + u, or
+            # its last, found by halving [lo, lo + width) down to one entry.
+            np.add(pair, draws[:, 2 * t + 1], out=u)
+            np.take(first_outcome, pair, out=lo, mode="clip")
+            pair += 1
+            np.take(first_outcome, pair, out=width, mode="clip")
+            width -= lo
+            for _ in range(halvings):
+                np.right_shift(width, 1, out=half)
+                width -= half
+                np.add(lo, half, out=pick)
+                pick -= 1
+                np.take(cum, pick, out=entry, mode="clip")
+                np.less_equal(entry, u, out=up)
+                half *= up
+                lo += half
+            np.take(succ, lo, out=here, mode="clip")
+            np.take(risky, here, out=met, mode="clip")
+            hit |= met
+        shares[chunk] = np.count_nonzero(hit[: len(chunk)], axis=1) / samples
+    return shares
 
 
 @dataclass
@@ -83,10 +142,13 @@ class RiskProfile:
     """Per-state estimates of the probability that a depth-limited walk
     encounters a risky state. Making one compiles the problem, calls the
     predicate once per reachable state for the risky mask and ids
-    (`risky_states()`), and builds the walks' table. Lazy: reach(s) is
-    sampled on first query with a seed derived from (seed, s), so results
-    are independent of query order. reach(s) raises KeyError for a state
-    not reachable from s0.
+    (`risky_states()`), and builds the walks' inverse-CDF table; the
+    predicate must be false on every reachable goal (ValueError otherwise).
+    The first reach() query walks every reachable non-risky state at once,
+    each state's walks seeded from (seed, s) so that its value does not
+    depend on the others, and then drops the table; every query reads the
+    values by state id. reach(s) raises KeyError for an id not reachable
+    from s0.
     """
 
     problem: SspProblem
@@ -94,7 +156,6 @@ class RiskProfile:
     samples: int = 30
     depth: int = 4
     seed: int = 0
-    _reach: dict[int, float] = field(default_factory=dict, repr=False)
 
     def __post_init__(self):
         if self.samples < 1 or self.depth < 1:
@@ -106,26 +167,30 @@ class RiskProfile:
         states = model.states
         self._risky = np.array(list(map(self.predicate, states.tolist())), dtype=bool)
         self._risky_ids = frozenset(states[self._risky].tolist())
+        risky_goals = sorted(self._risky_ids & self.problem.goals)
+        if risky_goals:
+            raise ValueError(f"risk predicate is true on goal state {risky_goals[0]}")
         self._cum = _cumulative(model)
+        self._values: np.ndarray | None = None
 
     def risky_states(self) -> frozenset[int]:
         """The ids of the states reachable from s0 where the predicate holds."""
         return self._risky_ids
 
     def reach(self, s: int) -> float:
-        value = self._reach.get(s)
-        if value is None:
-            model, risky = self._model, self._risky
-            i = model.position(s)
-            if risky[i]:
-                value = 1.0
-            else:
-                walks = _walk_positions(
-                    model, self._cum, i, self.samples, self.depth, [self.seed, s]
-                )
-                value = int(risky[walks].any(axis=1).sum()) / self.samples
-            self._reach[s] = value
-        return value
+        values = self._values
+        if values is None:
+            model = self._model
+            shares = _hit_shares(
+                model, self._cum, self._risky, self.samples, self.depth, self.seed
+            )
+            values = self._values = np.full(self.problem.n_states, np.nan)
+            values[model.states] = shares
+            self._cum = None
+        value = values[s] if 0 <= s < len(values) else math.nan
+        if math.isnan(value):
+            raise KeyError(f"state {s} is not reachable from s0")
+        return float(value)
 
 
 def exact_risk_reachability(

@@ -1,5 +1,6 @@
 """Outcome selection, selectors, and reduced model assembly."""
 
+import numpy as np
 import pytest
 from conftest import SelectorError, TableSelector
 from hypothesis import given
@@ -162,7 +163,7 @@ class TestZeroOneSelector:
     def test_reach_at_threshold_gets_full_model(self, risky_fork):
         problem, predicate = risky_fork
         profile = RiskProfile(problem, predicate)
-        profile._reach = {0: 0.3, 1: 0.0, 2: 1.0, 3: 0.0}
+        profile._values = np.array([0.3, 0.0, 1.0, 0.0])
         selector = ZeroOneSelector(profile, 0.25)
         assert selector.principle(0, 0) == FULL_MODEL
         assert selector.principle(0, 1) == FULL_MODEL
@@ -186,7 +187,7 @@ class TestZeroOneSelector:
         # pair whose true support contains a risky state keeps the full model.
         problem, predicate = risky_fork
         profile = RiskProfile(problem, predicate)
-        profile._reach = {0: 0.0, 1: 0.0, 2: 1.0, 3: 0.0}
+        profile._values = np.array([0.0, 0.0, 1.0, 0.0])
         selector = ZeroOneSelector(profile, 0.25)
         assert selector.principle(0, 0) == FULL_MODEL  # 10% branch into s2
         assert selector.principle(0, 1) == MOST_LIKELY

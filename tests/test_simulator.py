@@ -280,7 +280,7 @@ class TestRunExperiment:
         profile = RiskProfile(problem, predicate, seed=0)
         selector = ZeroOneSelector(profile, 0.25)
         run_experiment(problem, [("rm01", selector)], predicate, trials=5, seed=0)
-        assert profile._reach
+        assert profile._values is not None
         assert flattened == [problem]
 
     def test_every_timed_solve_plans_a_fresh_reduction(self, risky_fork, monkeypatch):
